@@ -20,7 +20,7 @@ from .algebra import (
 from .graphs import Graph, from_edge_list, parse_edge_list, parse_graph6
 from .isomorphism import are_isomorphic
 from .lifts import Signature, build_constant_lift, build_lift, make_signature, parse_signature
-from .search import SearchOptions, corollary_generate, search
+from .search import SearchOptions, corollary_generate, iter_search, search
 from .spectra import charpoly, cospectral, numeric_spectrum, verify_decomposition
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
     "cospectral",
     "from_edge_list",
     "inverse",
+    "iter_search",
     "make_signature",
     "numeric_spectrum",
     "parse_edge_list",

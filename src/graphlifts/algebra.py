@@ -248,19 +248,6 @@ def poly_trim(cs: list) -> list:
     return cs
 
 
-def poly_add(a: list, b: list) -> list:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return poly_trim(out)
-
-
-def poly_neg(a: list) -> list:
-    return [-c for c in a]
-
-
 def poly_mul(a: list, b: list) -> list:
     if not a or not b:
         return []
@@ -487,8 +474,9 @@ def berkowitz_charpoly(matrix, zero=0, one=1) -> list:
     """Monic characteristic polynomial det(tI - M) of a square matrix.
 
     Samuelson-Berkowitz recursion: entirely division-free, so it is valid
-    over any commutative ring, including Z[x]/(Phi_K) which has zero divisors
-    for composite K (the reason fraction-free elimination is not used here).
+    over any commutative ring. Z[x]/(Phi_K) is one: Phi_K is irreducible, so
+    the ring is Z[zeta_K], an integral domain, but fraction-free elimination
+    would need exact division in it, which is not implemented here.
     Returns the coefficient list with index = power. Pass ring constants via
     zero/one for non-integer entries.
 

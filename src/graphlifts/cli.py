@@ -3,7 +3,8 @@
 Commands: lift, charpoly, cospectral, iso, verify-mota, search, verify-paper.
 Exit codes: 0 = claim verified / cospectral / isomorphic, 1 = negative
 result, 2 = usage or input error. All output is deterministic: identical
-inputs produce byte-identical stdout regardless of --jobs.
+inputs produce byte-identical stdout. --jobs is accepted for compatibility
+and has no effect.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .search import (
     SearchOptions,
     WrongBaseGraph,
     corollary_generate,
-    search,
+    iter_search,
 )
 from .spectra import charpoly, cospectral, verify_decomposition
 
@@ -178,26 +179,26 @@ def _cmd_search(args) -> int:
     options = SearchOptions(
         filter_by_theorem=args.filter_by_theorem, budget=args.budget, jobs=args.jobs
     )
-    results = search(g, h, gr, options)
+    rows = iter_search(g, h, gr, options)
+    sig_dir = args.emit_signatures
+    if sig_dir:
+        os.makedirs(sig_dir, exist_ok=True)
+    poly_texts: dict[tuple[int, ...], str] = {}
+    emitted = {"g": set(), "h": set()}
     out = sys.stdout
-    for res in results:
+    for res in rows:
+        text = poly_texts.get(res.charpoly)
+        if text is None:
+            text = poly_texts[res.charpoly] = poly_text(list(res.charpoly))
         cond = "-" if res.conditions_satisfied is None else str(int(res.conditions_satisfied))
-        noniso = str(int(res.non_isomorphic))
-        out.write(f"{res.rank_g} {res.rank_h} {poly_text(list(res.charpoly))} {cond} {noniso}\n")
-    if args.emit_signatures:
-        os.makedirs(args.emit_signatures, exist_ok=True)
-        seen_g, seen_h = set(), set()
-        for res in results:
-            if res.rank_g not in seen_g:
-                seen_g.add(res.rank_g)
-                path = os.path.join(args.emit_signatures, f"g-{res.rank_g}.sig")
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(emit_signature(res.sig_g))
-            if res.rank_h not in seen_h:
-                seen_h.add(res.rank_h)
-                path = os.path.join(args.emit_signatures, f"h-{res.rank_h}.sig")
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(emit_signature(res.sig_h))
+        out.write(f"{res.rank_g} {res.rank_h} {text} {cond} {int(res.non_isomorphic)}\n")
+        if sig_dir:
+            for side, rank, sig in (("g", res.rank_g, res.sig_g), ("h", res.rank_h, res.sig_h)):
+                if rank not in emitted[side]:
+                    emitted[side].add(rank)
+                    path = os.path.join(sig_dir, f"{side}-{rank}.sig")
+                    with open(path, "w", encoding="utf-8") as fh:
+                        fh.write(emit_signature(sig))
     return 0
 
 
@@ -349,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
         target.add_argument(
             "--jobs",
             type=int,
-            help="worker count for search",
+            help="accepted for compatibility; has no effect",
             **(kw or {"default": os.cpu_count() or 1}),
         )
         target.add_argument(

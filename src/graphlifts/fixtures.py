@@ -1,7 +1,7 @@
 """Bundled worked example: the built-in cospectral 6-vertex base pair, the
-S3 signatures of the worked 18-vertex construction, the two 18x18 adjacency
-matrices transcribed verbatim from the original write-up of that example, and
-the named-edge dictionaries used by the search conditions.
+S3 signatures of the worked 18-vertex construction, and the two 18x18
+adjacency matrices transcribed verbatim from the original write-up of that
+example.
 
 The matrices are embedded as printed rather than regenerated, so any
 transcription quirks in the source material are detectable and reported
@@ -16,27 +16,6 @@ from .lifts import Signature, make_signature
 
 BASE_G: Graph = from_edge_list(6, [(1, 2), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5), (5, 6)])
 BASE_H: Graph = from_edge_list(6, [(1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (3, 6), (5, 6)])
-
-# Edge-name dictionaries: the symbolic variables of the search conditions,
-# keyed to the canonical edges they sit on.
-G_EDGE_NAMES: dict[str, tuple[int, int]] = {
-    "u": (1, 2),
-    "v": (2, 3),
-    "w": (2, 4),
-    "x": (3, 4),
-    "y": (3, 5),
-    "z": (4, 5),
-    "r": (5, 6),
-}
-H_EDGE_NAMES: dict[str, tuple[int, int]] = {
-    "u1": (1, 2),
-    "v1": (1, 3),
-    "w1": (2, 3),
-    "x1": (3, 4),
-    "y1": (3, 5),
-    "z1": (3, 6),
-    "r1": (5, 6),
-}
 
 S3 = SymmetricGroup(3)
 

@@ -1,27 +1,29 @@
 """Cospectrality conditions for the bundled base pair, the corollary-style
-signature generator, and brute-force search for cospectral lift pairs.
+signature generator, and search for cospectral lift pairs.
 
 The two conditions are implemented as exact group-element equations rather
 than per-character complex equations: the underlying identity must hold for
 every character, and by character orthogonality that is equivalent to a
-multiset equality of group elements, which is exact and fast to test.
+multiset equality of group elements, which is exact and fast to test. Each
+group element involved is the net voltage around a cycle of a base graph.
+
+Switching a signature by vertex potentials f, s'(i, j) = f(i) s(i, j) f(j)^-1,
+relabels every fiber of its lift and keeps every net voltage around a closed
+walk (Gross & Tucker, Topological Graph Theory, 1987, section 2.5). So a
+lift's spectrum, its isomorphism class and both conditions depend only on the
+signature's switching class, and search does its expensive work once per
+class rather than once per signature.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, deque
+from dataclasses import dataclass
+from typing import Iterator
 
 from . import fixtures
-from .algebra import (
-    AbelianGroup,
-    GroupSpec,
-    compose,
-    format_group,
-    inverse,
-    parse_group,
-)
-from .graphs import Graph, degree_sequence
+from .algebra import AbelianGroup, GroupSpec, compose, inverse
+from .graphs import Graph, degree_sequence, neighbor_lists
 from .isomorphism import canonical_form
 from .lifts import NonAbelianSignature, Signature, build_lift, make_signature
 from .spectra import charpoly, cospectral
@@ -41,21 +43,35 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class FixturePair:
-    """The bundled 6-vertex cospectral pair with its named-edge dictionaries."""
+    """The bundled 6-vertex cospectral base pair."""
 
     g: Graph
     h: Graph
-    g_edges: dict = field(default_factory=dict)
-    h_edges: dict = field(default_factory=dict)
 
 
 def fixture_pair() -> FixturePair:
-    return FixturePair(
-        fixtures.BASE_G,
-        fixtures.BASE_H,
-        dict(fixtures.G_EDGE_NAMES),
-        dict(fixtures.H_EDGE_NAMES),
-    )
+    return FixturePair(fixtures.BASE_G, fixtures.BASE_H)
+
+
+# The closed walks whose net voltages the conditions compare. Condition 1
+# asks for a trivial net voltage around the 4-cycle of G; condition 2
+# compares alpha (a triangle of G) with beta and gamma (triangles of H).
+CONDITION1_CYCLE = (2, 4, 5, 3)
+ALPHA_CYCLE = (2, 3, 4)
+BETA_CYCLE = (3, 5, 6)
+GAMMA_CYCLE = (1, 2, 3)
+
+
+def net_voltage(s: Signature, walk: tuple[int, ...]):
+    """Product of the voltages met along the closed walk w0 -> w1 -> ... -> w0;
+    an edge traversed against its stored orientation (i < j) contributes its
+    inverse."""
+    gr = s.group
+    acc = gr.identity()
+    for a, b in zip(walk, walk[1:] + walk[:1]):
+        g = s.get(a, b)
+        acc = compose(gr, acc, g if a < b else inverse(gr, g))
+    return acc
 
 
 def _require_abelian(s: Signature) -> None:
@@ -70,25 +86,17 @@ def _require_base(s: Signature, base: Graph, side: str) -> None:
 
 def check_condition1(sg: Signature) -> bool:
     """First cospectrality condition on the G side:
-    s(2,4) * s(4,5) = s(2,3) * s(3,5)."""
+    s(2,4) * s(4,5) = s(2,3) * s(3,5), i.e. the net voltage around the
+    4-cycle 2-4-5-3 is trivial."""
     _require_abelian(sg)
     _require_base(sg, fixtures.BASE_G, "G")
-    gr = sg.group
-    lhs = compose(gr, sg.get(2, 4), sg.get(4, 5))
-    rhs = compose(gr, sg.get(2, 3), sg.get(3, 5))
-    return lhs == rhs
+    return net_voltage(sg, CONDITION1_CYCLE) == sg.group.identity()
 
 
-def _alpha(sg: Signature):
-    gr = sg.group
-    return compose(gr, compose(gr, sg.get(3, 4), sg.get(2, 3)), inverse(gr, sg.get(2, 4)))
-
-
-def _beta_gamma(sh: Signature):
-    gr = sh.group
-    beta = compose(gr, compose(gr, sh.get(3, 5), sh.get(5, 6)), inverse(gr, sh.get(3, 6)))
-    gamma = compose(gr, compose(gr, sh.get(1, 2), sh.get(2, 3)), inverse(gr, sh.get(1, 3)))
-    return beta, gamma
+def _multisets_match(gr: AbelianGroup, alpha, beta, gamma) -> bool:
+    left = Counter([alpha, inverse(gr, alpha)] * 2)
+    right = Counter([beta, inverse(gr, beta), gamma, inverse(gr, gamma)])
+    return left == right
 
 
 def check_condition2(sg: Signature, sh: Signature) -> bool:
@@ -96,7 +104,8 @@ def check_condition2(sg: Signature, sh: Signature) -> bool:
     with alpha = x*v*w^-1 on the G side and beta = y1*r1*z1^-1,
     gamma = u1*w1*v1^-1 on the H side, the multisets
     {alpha, alpha^-1, alpha, alpha^-1} and {beta, beta^-1, gamma, gamma^-1}
-    must be equal."""
+    must be equal. alpha is the net voltage around triangle 2-3-4 of G;
+    beta and gamma are those around triangles 3-5-6 and 1-2-3 of H."""
     _require_abelian(sg)
     _require_abelian(sh)
     _require_base(sg, fixtures.BASE_G, "G")
@@ -105,12 +114,8 @@ def check_condition2(sg: Signature, sh: Signature) -> bool:
         raise WrongBaseGraph("the two signatures use different groups")
     if not check_condition1(sg):
         raise Condition1Violated("the first condition does not hold for the G-side signature")
-    gr = sg.group
-    alpha = _alpha(sg)
-    beta, gamma = _beta_gamma(sh)
-    left = Counter([alpha, inverse(gr, alpha)] * 2)
-    right = Counter([beta, inverse(gr, beta), gamma, inverse(gr, gamma)])
-    return left == right
+    beta, gamma = net_voltage(sh, BETA_CYCLE), net_voltage(sh, GAMMA_CYCLE)
+    return _multisets_match(sg.group, net_voltage(sg, ALPHA_CYCLE), beta, gamma)
 
 
 def conditions_hold(sg: Signature, sh: Signature) -> bool:
@@ -177,18 +182,22 @@ def corollary_generate(
 
 
 # ---------------------------------------------------------------------------
-# Brute-force search
+# Search
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class SearchOptions:
+    """filter_by_theorem keeps only condition-passing pairs (bundled pair
+    only); budget caps the signatures per side. jobs is accepted for
+    compatibility and has no effect: search runs in one process."""
+
     filter_by_theorem: bool = False
     budget: int = 10**6
     jobs: int = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchResult:
     rank_g: int
     rank_h: int
@@ -203,6 +212,14 @@ def signature_count(base: Graph, gr: GroupSpec) -> int:
     return gr.order() ** len(base.edges)
 
 
+def _digits(rank: int, k: int, width: int) -> list[int]:
+    """Base-k digits of rank, most significant first."""
+    digits = [0] * width
+    for pos in range(width - 1, -1, -1):
+        rank, digits[pos] = divmod(rank, k)
+    return digits
+
+
 def signature_from_rank(base: Graph, gr: GroupSpec, rank: int) -> Signature:
     """Signature with lexicographic index `rank`: the first canonical edge is
     the most significant digit, elements in enumeration order."""
@@ -211,11 +228,7 @@ def signature_from_rank(base: Graph, gr: GroupSpec, rank: int) -> Signature:
     m = len(base.edges)
     if not 0 <= rank < k**m:
         raise ValueError(f"rank {rank} outside 0..{k ** m - 1}")
-    digits = []
-    for _ in range(m):
-        rank, d = divmod(rank, k)
-        digits.append(d)
-    digits.reverse()
+    digits = _digits(rank, k, m)
     return Signature(base, gr, {e: elems[d] for e, d in zip(base.edges, digits)})
 
 
@@ -228,59 +241,108 @@ def rank_of_signature(s: Signature) -> int:
     return rank
 
 
-def _scan_ranks(args) -> list[tuple[int, tuple[int, ...]]]:
-    """Worker: charpoly for each listed signature rank. Top level so process
-    pools can pickle it."""
-    n, edges, group_text, ranks = args
-    base = Graph(n, edges)
-    gr = parse_group(group_text)
-    out = []
-    for rank in ranks:
-        sig = signature_from_rank(base, gr, rank)
-        lift = build_lift(base, sig)
-        out.append((rank, tuple(charpoly(lift))))
-    return out
+class SwitchingClasses:
+    """The switching classes of the signatures on one base over an abelian
+    group.
 
+    A BFS spanning forest is fixed, each tree rooted at its least vertex.
+    The vertex potentials accumulated along it switch every forest edge to
+    the identity; the normalised voltages left on the cotree edges form the
+    class key. Every one of the |Gr|^beta keys occurs, beta = m - n + c, and
+    a class is numbered by the rank of its key (first cotree edge most
+    significant, elements in enumeration order), 0 <= number < count.
+    """
 
-def _scan_side(base: Graph, gr: GroupSpec, ranks: list[int], jobs: int):
-    spec = (base.n, base.edges, format_group(gr))
-    if jobs <= 1 or len(ranks) < 4:
-        return _scan_ranks((*spec, tuple(ranks)))
-    chunk = max(1, -(-len(ranks) // (jobs * 4)))
-    parts = [
-        (*spec, tuple(ranks[lo : lo + chunk])) for lo in range(0, len(ranks), chunk)
-    ]
-    from concurrent.futures import ProcessPoolExecutor
+    def __init__(self, base: Graph, gr: AbelianGroup):
+        self.base = base
+        self.group = gr
+        self.elements = gr.elements()
+        self._index = {e: i for i, e in enumerate(self.elements)}
+        # Element-index tables; index 0 is the identity.
+        self._add = [[self._index[compose(gr, a, b)] for b in self.elements] for a in self.elements]
+        self._neg = [self._index[inverse(gr, a)] for a in self.elements]
+        position = {edge: e for e, edge in enumerate(base.edges)}
+        adj = neighbor_lists(base)
+        seen = [False] * base.n
+        # (edge position, parent, child, parent < child), 0-based vertices
+        self._tree: list[tuple[int, int, int, bool]] = []
+        for root in range(base.n):
+            if seen[root]:
+                continue
+            seen[root] = True
+            queue = deque([root])
+            while queue:
+                u = queue.popleft()
+                for v in adj[u]:
+                    if not seen[v]:
+                        seen[v] = True
+                        queue.append(v)
+                        edge = (u + 1, v + 1) if u < v else (v + 1, u + 1)
+                        self._tree.append((position[edge], u, v, u < v))
+        in_tree = {t[0] for t in self._tree}
+        self._cotree = [
+            (e, i - 1, j - 1) for e, (i, j) in enumerate(base.edges) if e not in in_tree
+        ]
+        self.count = len(self.elements) ** len(self._cotree)
 
-    rows: list = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part in pool.map(_scan_ranks, parts):
-            rows.extend(part)
-    rows.sort(key=lambda r: r[0])
-    return rows
+    def _class_of_digits(self, digits: list[int]) -> int:
+        add, neg = self._add, self._neg
+        potential = [0] * self.base.n
+        for e, u, v, forward in self._tree:
+            d = digits[e]
+            potential[v] = add[potential[u]][d if forward else neg[d]]
+        k = len(self.elements)
+        cid = 0
+        for e, i, j in self._cotree:
+            cid = cid * k + add[add[potential[i]][digits[e]]][neg[potential[j]]]
+        return cid
+
+    def class_ids(self) -> list[int]:
+        """The class of every signature, indexed by its rank."""
+        k, m = len(self.elements), len(self.base.edges)
+        return [self._class_of_digits(_digits(rank, k, m)) for rank in range(k**m)]
+
+    def class_of(self, s: Signature) -> int:
+        """The number of the class of signature s."""
+        return self._class_of_digits([self._index[s.assignments[e]] for e in self.base.edges])
+
+    def representative(self, cid: int) -> Signature:
+        """The normalised signature of class cid: the identity on the forest
+        and the class key on the cotree."""
+        assignments = dict.fromkeys(self.base.edges, self.group.identity())
+        cotree_digits = _digits(cid, len(self.elements), len(self._cotree))
+        for (e, _, _), d in zip(self._cotree, cotree_digits):
+            assignments[self.base.edges[e]] = self.elements[d]
+        return Signature(self.base, self.group, assignments)
 
 
 def search(
     g: Graph, h: Graph, gr: AbelianGroup, options: SearchOptions = SearchOptions()
 ) -> list[SearchResult]:
-    """Enumerate all signatures on both bases and list every pair whose lifts
-    are cospectral, in lexicographic (rank_g, rank_h) order.
+    """Every pair of signatures on the two bases whose lifts are cospectral,
+    in lexicographic (rank_g, rank_h) order: the rows of iter_search."""
+    return list(iter_search(g, h, gr, options))
 
-    Charpolys are computed once per signature per side and joined by exact
-    coefficient equality (dict join: hash plus full comparison). The
-    enumeration is partitioned into contiguous rank ranges when jobs > 1;
-    the merge is rank-sorted, so output is independent of the worker count.
 
-    Every vertex of a lift inherits the degree of its base vertex, so lifts
-    of bases with different degree sequences are never isomorphic; canonical
-    forms are computed only when the degree test cannot decide.
+def iter_search(
+    g: Graph, h: Graph, gr: AbelianGroup, options: SearchOptions = SearchOptions()
+) -> Iterator[SearchResult]:
+    """Yield every pair of signatures on the two bases whose lifts are
+    cospectral, in lexicographic (rank_g, rank_h) order, as it is found.
+
+    The arguments are checked before this returns. Each rank is mapped to its
+    switching class from the rank's digits. The charpoly, the canonical form
+    and the fixture conditions are computed once per class, on the class's
+    normalised representative, and pairs are joined by exact charpoly
+    equality. Every vertex of a lift inherits the degree of its base vertex,
+    so lifts of bases with different degree sequences are never isomorphic;
+    canonical forms are computed only when the degree test cannot decide.
     """
     if not isinstance(gr, AbelianGroup):
         raise NonAbelianSignature("search enumerates abelian signature spaces")
     if not cospectral(g, h):
         raise ValueError("search requires cospectral base graphs")
-    pair = fixture_pair()
-    on_fixture = g == pair.g and h == pair.h
+    on_fixture = g == fixtures.BASE_G and h == fixtures.BASE_H
     if options.filter_by_theorem and not on_fixture:
         raise WrongBaseGraph(
             "filter_by_theorem is only available on the bundled base pair"
@@ -289,87 +351,73 @@ def search(
     total_h = signature_count(h, gr)
     if max(total_g, total_h) > options.budget:
         raise BudgetExceeded(
-            f"{max(total_g, total_h)} signatures per side exceeds the budget of "
-            f"{options.budget}; scanned 0"
+            f"{total_g} signatures on the G side and {total_h} on the H side; "
+            f"the budget is {options.budget} per side"
         )
+    return _rows(g, h, gr, options.filter_by_theorem, on_fixture)
 
-    sig_g_cache: dict[int, Signature] = {}
-    sig_h_cache: dict[int, Signature] = {}
 
-    def sig_of(cache, base, rank):
-        if rank not in cache:
-            cache[rank] = signature_from_rank(base, gr, rank)
-        return cache[rank]
+def _rows(g: Graph, h: Graph, gr: AbelianGroup, filter_by_theorem: bool, on_fixture: bool):
+    classes_g = SwitchingClasses(g, gr)
+    classes_h = SwitchingClasses(h, gr)
+    reps_g = [classes_g.representative(c) for c in range(classes_g.count)]
+    reps_h = [classes_h.representative(c) for c in range(classes_h.count)]
+    polys_g = [tuple(charpoly(build_lift(g, s))) for s in reps_g]
+    polys_h = [tuple(charpoly(build_lift(h, s))) for s in reps_h]
+    if on_fixture:
+        cond_g = [(check_condition1(s), net_voltage(s, ALPHA_CYCLE)) for s in reps_g]
+        cond_h = [(net_voltage(s, BETA_CYCLE), net_voltage(s, GAMMA_CYCLE)) for s in reps_h]
 
     same_degrees = degree_sequence(g) == degree_sequence(h)
-    canon_g_cache: dict[int, tuple] = {}
-    canon_h_cache: dict[int, tuple] = {}
+    canon_g: dict[int, tuple] = {}
+    canon_h: dict[int, tuple] = {}
 
-    def canon_of(cache, sig_cache, base, rank):
-        if rank not in cache:
-            lifted = build_lift(base, sig_of(sig_cache, base, rank))
-            cache[rank] = canonical_form(lifted).edges
-        return cache[rank]
+    def canon_of(cache: dict, base: Graph, reps: list[Signature], cid: int) -> tuple:
+        if cid not in cache:
+            cache[cid] = canonical_form(build_lift(base, reps[cid])).edges
+        return cache[cid]
 
-    cond_info_g: dict[int, tuple[bool, tuple]] = {}
-    compat_h: dict[int, frozenset] = {}
-    if on_fixture:
-        elems = gr.elements()
-        for rank in range(total_g):
-            sg = sig_of(sig_g_cache, g, rank)
-            cond_info_g[rank] = (check_condition1(sg), _alpha(sg))
-        for rank in range(total_h):
-            sh = sig_of(sig_h_cache, h, rank)
-            beta, gamma = _beta_gamma(sh)
-            right = Counter([beta, inverse(gr, beta), gamma, inverse(gr, gamma)])
-            ok = frozenset(
-                a for a in elems if Counter([a, inverse(gr, a)] * 2) == right
-            )
-            compat_h[rank] = ok
-
-    # Condition metadata is cheap; charpolys are not. With the filter on,
-    # only ranks that can appear in a filtered result are scanned.
-    if options.filter_by_theorem:
-        ranks_g = [rank for rank in range(total_g) if cond_info_g[rank][0]]
-        ranks_h = [rank for rank in range(total_h) if compat_h[rank]]
-    else:
-        ranks_g = list(range(total_g))
-        ranks_h = list(range(total_h))
-    rows_g = _scan_side(g, gr, ranks_g, options.jobs)
-    rows_h = _scan_side(h, gr, ranks_h, options.jobs)
-
-    by_poly: dict[tuple[int, ...], list[int]] = {}
-    for rank, poly in rows_h:
-        by_poly.setdefault(poly, []).append(rank)
-
-    results: list[SearchResult] = []
-    for rank_g, poly in rows_g:
-        mates = by_poly.get(poly)
-        if not mates:
-            continue
-        for rank_h in mates:
+    def rows_of(cg: int) -> list | None:
+        """(conditions, non-isomorphic) of G class cg with each H class, None
+        where the pair yields no rows; None if no pair does."""
+        out: list = [None] * classes_h.count
+        for ch in range(classes_h.count):
+            if polys_h[ch] != polys_g[cg]:
+                continue
             if on_fixture:
-                c1, alpha = cond_info_g[rank_g]
-                cond: bool | None = c1 and alpha in compat_h[rank_h]
+                c1, alpha = cond_g[cg]
+                cond: bool | None = c1 and _multisets_match(gr, alpha, *cond_h[ch])
             else:
                 cond = None
-            if options.filter_by_theorem and not cond:
+            if filter_by_theorem and not cond:
                 continue
             if same_degrees:
-                non_iso = canon_of(canon_g_cache, sig_g_cache, g, rank_g) != canon_of(
-                    canon_h_cache, sig_h_cache, h, rank_h
-                )
+                non_iso = canon_of(canon_g, g, reps_g, cg) != canon_of(canon_h, h, reps_h, ch)
             else:
                 non_iso = True
-            results.append(
-                SearchResult(
-                    rank_g,
-                    rank_h,
-                    sig_of(sig_g_cache, g, rank_g),
-                    sig_of(sig_h_cache, h, rank_h),
-                    poly,
-                    cond,
-                    non_iso,
-                )
-            )
-    return results
+            out[ch] = (cond, non_iso)
+        return out if any(out) else None
+
+    # Every class holds signatures, so every pair of classes listed here
+    # yields rows and each canonical form computed is used.
+    class_rows = [rows_of(cg) for cg in range(classes_g.count)]
+    class_of_h = classes_h.class_ids()
+    ranks_h_by_poly: dict[tuple[int, ...], list[int]] = {}
+    for rank_h, ch in enumerate(class_of_h):
+        ranks_h_by_poly.setdefault(polys_h[ch], []).append(rank_h)
+    sigs_h: list[Signature | None] = [None] * len(class_of_h)
+
+    for rank_g, cg in enumerate(classes_g.class_ids()):
+        rows = class_rows[cg]
+        if rows is None:
+            continue
+        poly = polys_g[cg]
+        sig_g = signature_from_rank(g, gr, rank_g)
+        for rank_h in ranks_h_by_poly[poly]:
+            row = rows[class_of_h[rank_h]]
+            if row is None:
+                continue
+            sig_h = sigs_h[rank_h]
+            if sig_h is None:
+                sig_h = sigs_h[rank_h] = signature_from_rank(h, gr, rank_h)
+            yield SearchResult(rank_g, rank_h, sig_g, sig_h, poly, *row)

@@ -24,7 +24,6 @@ from .algebra import (
     cyclo_one,
     cyclo_zero,
     inverse,
-    perm_matrix,
 )
 from .graphs import Graph, adjacency_matrix
 from .lifts import NonAbelianSignature, Signature, build_constant_lift, build_lift
@@ -117,9 +116,6 @@ def verify_constant_lift_lemma(g: Graph, h: Graph, gr: AbelianGroup, elem) -> bo
         raise PreconditionFailed(
             "permutation matrix of the voltage is not symmetric (element is not an involution)"
         )
-    # The involution test is the cheap proxy; the matrix itself agrees.
-    pm = perm_matrix(gr, elem)
-    assert all(pm[i][j] == pm[j][i] for i in range(len(pm)) for j in range(len(pm)))
     return cospectral(build_constant_lift(g, gr, elem), build_constant_lift(h, gr, elem))
 
 

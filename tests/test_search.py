@@ -12,18 +12,22 @@ from graphlifts.algebra import (
     cyclo_int,
     inverse,
 )
-from graphlifts.graphs import from_edge_list
-from graphlifts.lifts import NonAbelianSignature, build_lift, make_signature
+from graphlifts.graphs import degree_sequence, from_edge_list
+from graphlifts.isomorphism import are_isomorphic, canonical_form, relabeled
+from graphlifts.lifts import NonAbelianSignature, Signature, build_lift, make_signature
 from graphlifts.search import (
     BudgetExceeded,
     Condition1Violated,
     SearchOptions,
+    SwitchingClasses,
     WrongBaseGraph,
     check_condition1,
     check_condition2,
     conditions_hold,
     corollary_generate,
     fixture_pair,
+    iter_search,
+    net_voltage,
     rank_of_signature,
     search,
     signature_count,
@@ -326,3 +330,139 @@ def test_search_budget():
     assert "2187" in str(exc.value)
     # generous budget passes
     assert search(PAIR.g, PAIR.h, Z2, SearchOptions(budget=128))
+
+
+def test_iter_search_streams_the_same_rows_and_checks_arguments_eagerly():
+    rows = iter_search(PAIR.g, PAIR.h, Z2)
+    assert next(rows) == search(PAIR.g, PAIR.h, Z2)[0]
+    with pytest.raises(BudgetExceeded) as exc:
+        iter_search(PAIR.g, PAIR.h, Z3, SearchOptions(budget=1000))
+    assert "scanned" not in str(exc.value)
+    assert "1000" in str(exc.value)
+
+
+# --- switching classes ------------------------------------------------------
+
+
+def _switch(s, potential):
+    """s'(i, j) = f(i) * s(i, j) * f(j)^-1 for vertex potentials f."""
+    gr = s.group
+    return Signature(
+        s.base,
+        gr,
+        {
+            (i, j): compose(gr, compose(gr, potential[i], g), inverse(gr, potential[j]))
+            for (i, j), g in s.assignments.items()
+        },
+    )
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_switching_keeps_charpoly_isomorphism_and_class(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 5)
+    pool = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    base = from_edge_list(n, [e for e in pool if rng.random() < 0.6] or pool[:1])
+    gr = AbelianGroup(rng.choice([(2,), (3,), (4,), (5,), (2, 2), (6,)]))
+    elems = gr.elements()
+    sig = make_signature(base, gr, {e: rng.choice(elems) for e in base.edges})
+    switched = _switch(sig, {v: rng.choice(elems) for v in range(1, n + 1)})
+    lift, lift_switched = build_lift(base, sig), build_lift(base, switched)
+    assert charpoly(lift) == charpoly(lift_switched)
+    assert are_isomorphic(lift, lift_switched)[0]
+    classes = SwitchingClasses(base, gr)
+    cid = classes.class_of(sig)
+    assert classes.class_of(switched) == cid
+    rep = classes.representative(cid)
+    assert classes.class_of(rep) == cid
+    assert charpoly(build_lift(base, rep)) == charpoly(lift)
+
+
+def test_switching_classes_are_the_net_voltages_of_the_cycle():
+    # two components, beta = m - n + c = 5 - 6 + 2 = 1; the BFS forest
+    # reaches vertex 2 from vertex 3, against the stored orientation of (2, 3)
+    base = from_edge_list(6, [(1, 3), (2, 3), (2, 4), (3, 4), (5, 6)])
+    classes = SwitchingClasses(base, Z3)
+    assert classes.count == 3
+    ids = classes.class_ids()
+    assert len(ids) == signature_count(base, Z3)
+    voltages = {}
+    for rank, cid in enumerate(ids):
+        sig = signature_from_rank(base, Z3, rank)
+        assert classes.class_of(sig) == cid
+        voltages.setdefault(cid, set()).add(net_voltage(sig, (2, 3, 4)))
+    # one class per net voltage around the only cycle
+    assert sorted(voltages) == [0, 1, 2]
+    assert sorted(v for vs in voltages.values() for v in vs) == Z3.elements()
+    # the fixture bases: 2187 signatures per side fall into 9 classes
+    for base in (PAIR.g, PAIR.h):
+        classes = SwitchingClasses(base, Z3)
+        assert classes.count == 9
+        assert [classes.class_of(classes.representative(c)) for c in range(9)] == list(range(9))
+
+
+def _oracle_search(g, h, gr, filter_by_theorem=False):
+    """Brute force over every rank: a charpoly, the conditions from the edge
+    equations, and a canonical form per signature, joined pair by pair."""
+    on_fixture = g == PAIR.g and h == PAIR.h
+    same_degrees = degree_sequence(g) == degree_sequence(h)
+
+    def per_rank(base):
+        out = []
+        for rank in range(signature_count(base, gr)):
+            sig = signature_from_rank(base, gr, rank)
+            lift = build_lift(base, sig)
+            canon = canonical_form(lift).edges if same_degrees else None
+            out.append((sig, tuple(charpoly(lift)), canon))
+        return out
+
+    def c1_alpha(s):
+        c1 = compose(gr, s.get(2, 4), s.get(4, 5)) == compose(gr, s.get(2, 3), s.get(3, 5))
+        alpha = compose(gr, compose(gr, s.get(3, 4), s.get(2, 3)), inverse(gr, s.get(2, 4)))
+        return c1, alpha
+
+    def beta_gamma(s):
+        beta = compose(gr, compose(gr, s.get(3, 5), s.get(5, 6)), inverse(gr, s.get(3, 6)))
+        gamma = compose(gr, compose(gr, s.get(1, 2), s.get(2, 3)), inverse(gr, s.get(1, 3)))
+        return beta, gamma
+
+    rows = []
+    side_h = per_rank(h)
+    for rank_g, (sig_g, poly_g, canon_g) in enumerate(per_rank(g)):
+        for rank_h, (sig_h, poly_h, canon_h) in enumerate(side_h):
+            if poly_g != poly_h:
+                continue
+            cond = None
+            if on_fixture:
+                c1, alpha = c1_alpha(sig_g)
+                cond = c1 and _multisets_equal(gr, alpha, *beta_gamma(sig_h))
+            if filter_by_theorem and not cond:
+                continue
+            non_iso = canon_g != canon_h if same_degrees else True
+            rows.append((rank_g, rank_h, sig_g, sig_h, poly_g, cond, non_iso))
+    return rows
+
+
+def _fields(results):
+    return [
+        (r.rank_g, r.rank_h, r.sig_g, r.sig_h, r.charpoly, r.conditions_satisfied, r.non_isomorphic)
+        for r in results
+    ]
+
+
+@pytest.mark.parametrize("filter_by_theorem", [False, True])
+def test_search_equals_brute_force_oracle_on_fixture_pair_z2(filter_by_theorem):
+    found = search(PAIR.g, PAIR.h, Z2, SearchOptions(filter_by_theorem=filter_by_theorem))
+    assert _fields(found) == _oracle_search(PAIR.g, PAIR.h, Z2, filter_by_theorem)
+
+
+def test_search_equals_brute_force_oracle_with_equal_degree_sequences_z3():
+    # K4 minus an edge against a relabeling of itself: equal degree
+    # sequences, so non-isomorphism is decided by canonical forms; beta = 2
+    g = from_edge_list(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
+    h = relabeled(g, (3, 1, 4, 2))
+    assert g != h and degree_sequence(g) == degree_sequence(h)
+    assert SwitchingClasses(g, Z3).count == SwitchingClasses(h, Z3).count == 9
+    found = search(g, h, Z3)
+    assert found
+    assert _fields(found) == _oracle_search(g, h, Z3)
