@@ -11,11 +11,11 @@ import random
 import sys
 
 from graphlifts.algebra import parse_group
+from graphlifts.fixtures import BASE_G, BASE_H
 from graphlifts.lifts import build_lift
 from graphlifts.search import (
     check_condition1,
     check_condition2,
-    fixture_pair,
     signature_count,
     signature_from_rank,
 )
@@ -24,23 +24,22 @@ from graphlifts.spectra import charpoly
 
 def sweep_pairs(group_text: str, trials: int, seed: int):
     gr = parse_group(group_text)
-    pair = fixture_pair()
-    total_g = signature_count(pair.g, gr)
-    total_h = signature_count(pair.h, gr)
+    total_g = signature_count(BASE_G, gr)
+    total_h = signature_count(BASE_H, gr)
 
     poly_g = {}
     poly_h = {}
 
     def charpoly_g(rank):
         if rank not in poly_g:
-            sig = signature_from_rank(pair.g, gr, rank)
-            poly_g[rank] = (sig, tuple(charpoly(build_lift(pair.g, sig))))
+            sig = signature_from_rank(BASE_G, gr, rank)
+            poly_g[rank] = (sig, tuple(charpoly(build_lift(BASE_G, sig))))
         return poly_g[rank]
 
     def charpoly_h(rank):
         if rank not in poly_h:
-            sig = signature_from_rank(pair.h, gr, rank)
-            poly_h[rank] = (sig, tuple(charpoly(build_lift(pair.h, sig))))
+            sig = signature_from_rank(BASE_H, gr, rank)
+            poly_h[rank] = (sig, tuple(charpoly(build_lift(BASE_H, sig))))
         return poly_h[rank]
 
     exhaustive = total_g * total_h <= trials

@@ -21,7 +21,7 @@ from .graphs import Graph, from_edge_list, parse_edge_list, parse_graph6
 from .isomorphism import are_isomorphic
 from .lifts import Signature, build_constant_lift, build_lift, make_signature, parse_signature
 from .search import SearchOptions, corollary_generate, iter_search, search
-from .spectra import charpoly, cospectral, numeric_spectrum, verify_decomposition
+from .spectra import charpoly, cospectral, verify_decomposition
 
 __all__ = [
     "AbelianGroup",
@@ -43,7 +43,6 @@ __all__ = [
     "inverse",
     "iter_search",
     "make_signature",
-    "numeric_spectrum",
     "parse_edge_list",
     "parse_element",
     "parse_graph6",

@@ -282,13 +282,6 @@ def poly_divexact(a: list, b: list) -> list:
     return poly_trim(out)
 
 
-def poly_eval(a: list, x):
-    acc = 0
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
 def poly_text(a: list) -> str:
     """Bracketed integer list, highest degree first: the CLI output form."""
     if not a:
@@ -454,9 +447,6 @@ class Character:
     def inverse_value(self, e) -> CycloElem:
         return inverse_root_power(self.group.exponent(), self.root_exponent(e))
 
-    def __call__(self, e) -> CycloElem:
-        return self.value(e)
-
 
 def characters(gr: AbelianGroup) -> list[Character]:
     """All |Gr| characters in lexicographic index order (trivial first)."""
@@ -500,10 +490,7 @@ def berkowitz_charpoly(matrix, zero=0, one=1) -> list:
             b_rows = [matrix[i][k + 1 :] for i in range(k + 1, n)]
             v = [matrix[i][k] for i in range(k + 1, n)]
             for step in range(m):
-                dot = zero
-                for x, y in zip(r_row, v):
-                    dot = dot + x * y
-                col.append(zero - dot)
+                col.append(zero - sum_product(r_row, v, zero))
                 if step + 1 < m:
                     v = [sum_product(row, v, zero) for row in b_rows]
         width = len(coeffs)
@@ -520,6 +507,8 @@ def berkowitz_charpoly(matrix, zero=0, one=1) -> list:
 
 
 def sum_product(xs, ys, zero=0):
+    """Dot product of xs and ys, summed from the ring's zero: starting from
+    int 0 would coerce every cyclotomic term."""
     acc = zero
     for x, y in zip(xs, ys):
         acc = acc + x * y

@@ -26,7 +26,7 @@ from .graphs import (
     parse_edge_list,
     parse_graph6,
 )
-from .isomorphism import are_isomorphic
+from .isomorphism import TooLarge, are_isomorphic
 from .lifts import Signature, SignatureError, build_lift, emit_signature, parse_signature
 from .search import (
     BudgetExceeded,
@@ -81,14 +81,18 @@ def fixture_set() -> FixtureSet:
     )
 
 
+def _read_text(path: str) -> str:
+    """The contents of a file, or of stdin when path is "-"."""
+    if path == "-":
+        return sys.stdin.read()
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
 def load_graph(path: str) -> Graph:
     """Read a graph file: edge-list text if the first data line is numeric,
     otherwise graph6."""
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+    text = _read_text(path)
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -101,12 +105,7 @@ def load_graph(path: str) -> Graph:
 
 
 def load_signature(path: str, base: Graph) -> Signature:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    return parse_signature(text, base)
+    return parse_signature(_read_text(path), base)
 
 
 def emit_graph(g: Graph, fmt: str) -> str:
@@ -176,9 +175,7 @@ def _cmd_search(args) -> int:
     gr = parse_group(args.group)
     if not isinstance(gr, AbelianGroup):
         raise SystemExit2("search requires an abelian group")
-    options = SearchOptions(
-        filter_by_theorem=args.filter_by_theorem, budget=args.budget, jobs=args.jobs
-    )
+    options = SearchOptions(filter_by_theorem=args.filter_by_theorem, budget=args.budget)
     rows = iter_search(g, h, gr, options)
     sig_dir = args.emit_signatures
     if sig_dir:
@@ -351,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--jobs",
             type=int,
             help="accepted for compatibility; has no effect",
-            **(kw or {"default": os.cpu_count() or 1}),
+            **kw,
         )
         target.add_argument(
             "--budget",
@@ -421,7 +418,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphError, SignatureError, AlgebraError, WrongBaseGraph, BudgetExceeded, SystemExit2) as exc:
+    except (GraphError, SignatureError, AlgebraError, WrongBaseGraph, BudgetExceeded,
+            TooLarge, SystemExit2) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -41,9 +41,6 @@ class Graph:
     n: int
     edges: tuple[tuple[int, int], ...]
 
-    def edge_count(self) -> int:
-        return len(self.edges)
-
     def has_edge(self, i: int, j: int) -> bool:
         if i > j:
             i, j = j, i

@@ -20,7 +20,6 @@ from .algebra import (
     BadGroupSpec,
     ElementNotInGroup,
     GroupSpec,
-    SymmetricGroup,
     compose,
     format_element,
     format_group,

@@ -30,7 +30,9 @@ from .spectra import charpoly, cospectral
 
 
 class WrongBaseGraph(ValueError):
-    """A condition check was given a signature on the wrong base graph."""
+    """The base graphs do not fit the request: a condition check was given a
+    signature on the wrong base graph, or search was given bases that are
+    not cospectral."""
 
 
 class Condition1Violated(ValueError):
@@ -39,18 +41,6 @@ class Condition1Violated(ValueError):
 
 class BudgetExceeded(RuntimeError):
     """The signature space is larger than the configured enumeration budget."""
-
-
-@dataclass(frozen=True)
-class FixturePair:
-    """The bundled 6-vertex cospectral base pair."""
-
-    g: Graph
-    h: Graph
-
-
-def fixture_pair() -> FixturePair:
-    return FixturePair(fixtures.BASE_G, fixtures.BASE_H)
 
 
 # The closed walks whose net voltages the conditions compare. Condition 1
@@ -189,12 +179,10 @@ def corollary_generate(
 @dataclass(frozen=True)
 class SearchOptions:
     """filter_by_theorem keeps only condition-passing pairs (bundled pair
-    only); budget caps the signatures per side. jobs is accepted for
-    compatibility and has no effect: search runs in one process."""
+    only); budget caps the signatures per side."""
 
     filter_by_theorem: bool = False
     budget: int = 10**6
-    jobs: int = 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -341,7 +329,7 @@ def iter_search(
     if not isinstance(gr, AbelianGroup):
         raise NonAbelianSignature("search enumerates abelian signature spaces")
     if not cospectral(g, h):
-        raise ValueError("search requires cospectral base graphs")
+        raise WrongBaseGraph("search requires cospectral base graphs")
     on_fixture = g == fixtures.BASE_G and h == fixtures.BASE_H
     if options.filter_by_theorem and not on_fixture:
         raise WrongBaseGraph(

@@ -147,6 +147,26 @@ def test_usage_and_input_errors(demo, capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_search_on_non_cospectral_bases_exits_2(capsys, tmp_path):
+    p3 = tmp_path / "p3.edges"
+    p3.write_text(emit_edge_list(from_edge_list(3, [(1, 2), (2, 3)])))
+    k3 = tmp_path / "k3.edges"
+    k3.write_text(emit_edge_list(from_edge_list(3, [(1, 2), (2, 3), (1, 3)])))
+    assert main(["search", "--base-g", str(p3), "--base-h", str(k3), "--group", "Z2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: search requires cospectral base graphs")
+
+
+def test_iso_past_size_ceiling_exits_2(capsys, tmp_path):
+    path = tmp_path / "p65.edges"
+    path.write_text(emit_edge_list(from_edge_list(65, [(i, i + 1) for i in range(1, 65)])))
+    assert main(["iso", str(path), str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: isomorphism supports at most 64 vertices")
+
+
 def test_fixture_set_matrices_are_well_formed():
     fs = fixture_set()
     assert matrix_problems(fs.matrix_g) == []

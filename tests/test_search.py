@@ -25,7 +25,6 @@ from graphlifts.search import (
     check_condition2,
     conditions_hold,
     corollary_generate,
-    fixture_pair,
     iter_search,
     net_voltage,
     rank_of_signature,
@@ -38,7 +37,6 @@ from graphlifts.spectra import charpoly, cospectral
 Z2 = AbelianGroup((2,))
 Z3 = AbelianGroup((3,))
 Z4 = AbelianGroup((4,))
-PAIR = fixture_pair()
 
 
 def _lift_poly_cache(base, gr):
@@ -58,27 +56,27 @@ def _lift_poly_cache(base, gr):
 
 def test_rank_roundtrip():
     for gr in (Z2, Z3, AbelianGroup((2, 2))):
-        total = signature_count(PAIR.g, gr)
+        total = signature_count(fixtures.BASE_G, gr)
         assert total == gr.order() ** 7
         for rank in (0, 1, total // 2, total - 1):
-            sig = signature_from_rank(PAIR.g, gr, rank)
+            sig = signature_from_rank(fixtures.BASE_G, gr, rank)
             assert rank_of_signature(sig) == rank
     with pytest.raises(ValueError):
-        signature_from_rank(PAIR.g, Z2, 128)
+        signature_from_rank(fixtures.BASE_G, Z2, 128)
     with pytest.raises(ValueError):
-        signature_from_rank(PAIR.g, Z2, -1)
+        signature_from_rank(fixtures.BASE_G, Z2, -1)
 
 
 def test_rank_zero_is_identity_and_first_edge_most_significant():
-    sig0 = signature_from_rank(PAIR.g, Z3, 0)
+    sig0 = signature_from_rank(fixtures.BASE_G, Z3, 0)
     assert all(v == (0,) for v in sig0.assignments.values())
     # rank 1 changes the LAST edge; the highest-order digit is the first edge
-    sig1 = signature_from_rank(PAIR.g, Z3, 1)
+    sig1 = signature_from_rank(fixtures.BASE_G, Z3, 1)
     assert sig1.get(5, 6) == (1,)
-    assert all(sig1.assignments[e] == (0,) for e in PAIR.g.edges[:-1])
-    top = signature_from_rank(PAIR.g, Z3, 2 * 3**6)
+    assert all(sig1.assignments[e] == (0,) for e in fixtures.BASE_G.edges[:-1])
+    top = signature_from_rank(fixtures.BASE_G, Z3, 2 * 3**6)
     assert top.get(1, 2) == (2,)
-    assert all(top.assignments[e] == (0,) for e in PAIR.g.edges[1:])
+    assert all(top.assignments[e] == (0,) for e in fixtures.BASE_G.edges[1:])
 
 
 # --- the two conditions -----------------------------------------------------
@@ -87,15 +85,16 @@ def test_rank_zero_is_identity_and_first_edge_most_significant():
 def test_condition1_is_the_edge_equation():
     rng = random.Random(2)
     for _ in range(200):
-        sig = signature_from_rank(PAIR.g, Z4, rng.randrange(signature_count(PAIR.g, Z4)))
+        rank = rng.randrange(signature_count(fixtures.BASE_G, Z4))
+        sig = signature_from_rank(fixtures.BASE_G, Z4, rank)
         lhs = compose(Z4, sig.get(2, 4), sig.get(4, 5))
         rhs = compose(Z4, sig.get(2, 3), sig.get(3, 5))
         assert check_condition1(sig) == (lhs == rhs)
 
 
 def test_condition_checks_validate_inputs():
-    sig_g = signature_from_rank(PAIR.g, Z2, 0)
-    sig_h = signature_from_rank(PAIR.h, Z2, 0)
+    sig_g = signature_from_rank(fixtures.BASE_G, Z2, 0)
+    sig_h = signature_from_rank(fixtures.BASE_H, Z2, 0)
     with pytest.raises(WrongBaseGraph):
         check_condition1(sig_h)
     with pytest.raises(WrongBaseGraph):
@@ -107,12 +106,12 @@ def test_condition_checks_validate_inputs():
         check_condition1(fixtures.EXAMPLE_SIGNATURE_G)
     with pytest.raises(NonAbelianSignature):
         check_condition2(fixtures.EXAMPLE_SIGNATURE_G, fixtures.EXAMPLE_SIGNATURE_H)
-    sig_g_z3 = signature_from_rank(PAIR.g, Z3, 0)
+    sig_g_z3 = signature_from_rank(fixtures.BASE_G, Z3, 0)
     with pytest.raises(WrongBaseGraph):
         check_condition2(sig_g_z3, sig_h)  # group mismatch
     # condition 2 requires condition 1
     bad = make_signature(
-        PAIR.g,
+        fixtures.BASE_G,
         Z2,
         {(1, 2): (0,), (2, 3): (1,), (2, 4): (0,), (3, 4): (0,), (3, 5): (0,), (4, 5): (0,), (5, 6): (0,)},
     )
@@ -123,15 +122,15 @@ def test_condition_checks_validate_inputs():
 
 
 def test_soundness_sweep_z2_exhaustive():
-    poly_g = _lift_poly_cache(PAIR.g, Z2)
-    poly_h = _lift_poly_cache(PAIR.h, Z2)
+    poly_g = _lift_poly_cache(fixtures.BASE_G, Z2)
+    poly_h = _lift_poly_cache(fixtures.BASE_H, Z2)
     passing = 0
-    for rank_g in range(signature_count(PAIR.g, Z2)):
-        sig_g = signature_from_rank(PAIR.g, Z2, rank_g)
+    for rank_g in range(signature_count(fixtures.BASE_G, Z2)):
+        sig_g = signature_from_rank(fixtures.BASE_G, Z2, rank_g)
         if not check_condition1(sig_g):
             continue
-        for rank_h in range(signature_count(PAIR.h, Z2)):
-            sig_h = signature_from_rank(PAIR.h, Z2, rank_h)
+        for rank_h in range(signature_count(fixtures.BASE_H, Z2)):
+            sig_h = signature_from_rank(fixtures.BASE_H, Z2, rank_h)
             if check_condition2(sig_g, sig_h):
                 passing += 1
                 assert poly_g(rank_g) == poly_h(rank_h)
@@ -141,16 +140,16 @@ def test_soundness_sweep_z2_exhaustive():
 @pytest.mark.parametrize("gr,trials,seed", [(Z3, 10_000, 31), (Z4, 10_000, 41)])
 def test_soundness_sweep_randomized(gr, trials, seed):
     rng = random.Random(seed)
-    total_g = signature_count(PAIR.g, gr)
-    total_h = signature_count(PAIR.h, gr)
-    poly_g = _lift_poly_cache(PAIR.g, gr)
-    poly_h = _lift_poly_cache(PAIR.h, gr)
+    total_g = signature_count(fixtures.BASE_G, gr)
+    total_h = signature_count(fixtures.BASE_H, gr)
+    poly_g = _lift_poly_cache(fixtures.BASE_G, gr)
+    poly_h = _lift_poly_cache(fixtures.BASE_H, gr)
     passing = 0
     for _ in range(trials):
         rank_g = rng.randrange(total_g)
         rank_h = rng.randrange(total_h)
-        sig_g = signature_from_rank(PAIR.g, gr, rank_g)
-        sig_h = signature_from_rank(PAIR.h, gr, rank_h)
+        sig_g = signature_from_rank(fixtures.BASE_G, gr, rank_g)
+        sig_h = signature_from_rank(fixtures.BASE_H, gr, rank_h)
         if conditions_hold(sig_g, sig_h):
             passing += 1
             assert poly_g(rank_g) == poly_h(rank_h)
@@ -229,7 +228,7 @@ def test_corollary_z2_exhaustive_free_parameters():
         u, v, w, x, y, r, x1 = vals
         sig_g, sig_h = corollary_generate(Z2, u=u, v=v, w=w, x=x, y=y, r=r, v1=w, x1=x1)
         assert conditions_hold(sig_g, sig_h)
-        assert cospectral(build_lift(PAIR.g, sig_g), build_lift(PAIR.h, sig_h))
+        assert cospectral(build_lift(fixtures.BASE_G, sig_g), build_lift(fixtures.BASE_H, sig_h))
 
 
 def test_corollary_z3_randomized():
@@ -239,7 +238,7 @@ def test_corollary_z3_randomized():
         kw = {name: rng.choice(elems) for name in ("u", "v", "w", "x", "y", "r", "x1")}
         sig_g, sig_h = corollary_generate(Z3, v1=kw["w"], **kw)
         assert conditions_hold(sig_g, sig_h)
-        assert cospectral(build_lift(PAIR.g, sig_g), build_lift(PAIR.h, sig_h))
+        assert cospectral(build_lift(fixtures.BASE_G, sig_g), build_lift(fixtures.BASE_H, sig_h))
 
 
 def test_corollary_defaults_to_identity():
@@ -279,7 +278,7 @@ def test_search_matches_double_loop_oracle_on_3_edge_base():
 
 
 def test_search_fixture_pair_z2():
-    results = search(PAIR.g, PAIR.h, Z2, SearchOptions())
+    results = search(fixtures.BASE_G, fixtures.BASE_H, Z2, SearchOptions())
     assert len(results) == 2048
     assert all(r.non_isomorphic for r in results)
     assert all(r.conditions_satisfied for r in results)
@@ -288,27 +287,19 @@ def test_search_fixture_pair_z2():
     # spot-check ten rows independently
     rng = random.Random(1)
     for r in rng.sample(results, 10):
-        lg = build_lift(PAIR.g, r.sig_g)
-        lh = build_lift(PAIR.h, r.sig_h)
+        lg = build_lift(fixtures.BASE_G, r.sig_g)
+        lh = build_lift(fixtures.BASE_H, r.sig_h)
         assert tuple(charpoly(lg)) == tuple(charpoly(lh)) == r.charpoly
         assert conditions_hold(r.sig_g, r.sig_h)
 
 
 def test_search_filtered_subset():
-    unfiltered = search(PAIR.g, PAIR.h, Z2, SearchOptions())
-    filtered = search(PAIR.g, PAIR.h, Z2, SearchOptions(filter_by_theorem=True))
+    unfiltered = search(fixtures.BASE_G, fixtures.BASE_H, Z2, SearchOptions())
+    filtered = search(fixtures.BASE_G, fixtures.BASE_H, Z2, SearchOptions(filter_by_theorem=True))
     ukeys = {(r.rank_g, r.rank_h) for r in unfiltered}
     fkeys = {(r.rank_g, r.rank_h) for r in filtered}
     assert fkeys <= ukeys
     assert fkeys == {(r.rank_g, r.rank_h) for r in unfiltered if r.conditions_satisfied}
-
-
-def test_search_determinism_across_jobs():
-    seq = search(PAIR.g, PAIR.h, Z2, SearchOptions(jobs=1))
-    par = search(PAIR.g, PAIR.h, Z2, SearchOptions(jobs=3))
-    assert [(r.rank_g, r.rank_h, r.charpoly) for r in seq] == [
-        (r.rank_g, r.rank_h, r.charpoly) for r in par
-    ]
 
 
 def test_search_requires_cospectral_bases():
@@ -326,17 +317,17 @@ def test_search_rejects_filter_off_fixture():
 
 def test_search_budget():
     with pytest.raises(BudgetExceeded) as exc:
-        search(PAIR.g, PAIR.h, Z3, SearchOptions(budget=1000))
+        search(fixtures.BASE_G, fixtures.BASE_H, Z3, SearchOptions(budget=1000))
     assert "2187" in str(exc.value)
     # generous budget passes
-    assert search(PAIR.g, PAIR.h, Z2, SearchOptions(budget=128))
+    assert search(fixtures.BASE_G, fixtures.BASE_H, Z2, SearchOptions(budget=128))
 
 
 def test_iter_search_streams_the_same_rows_and_checks_arguments_eagerly():
-    rows = iter_search(PAIR.g, PAIR.h, Z2)
-    assert next(rows) == search(PAIR.g, PAIR.h, Z2)[0]
+    rows = iter_search(fixtures.BASE_G, fixtures.BASE_H, Z2)
+    assert next(rows) == search(fixtures.BASE_G, fixtures.BASE_H, Z2)[0]
     with pytest.raises(BudgetExceeded) as exc:
-        iter_search(PAIR.g, PAIR.h, Z3, SearchOptions(budget=1000))
+        iter_search(fixtures.BASE_G, fixtures.BASE_H, Z3, SearchOptions(budget=1000))
     assert "scanned" not in str(exc.value)
     assert "1000" in str(exc.value)
 
@@ -395,7 +386,7 @@ def test_switching_classes_are_the_net_voltages_of_the_cycle():
     assert sorted(voltages) == [0, 1, 2]
     assert sorted(v for vs in voltages.values() for v in vs) == Z3.elements()
     # the fixture bases: 2187 signatures per side fall into 9 classes
-    for base in (PAIR.g, PAIR.h):
+    for base in (fixtures.BASE_G, fixtures.BASE_H):
         classes = SwitchingClasses(base, Z3)
         assert classes.count == 9
         assert [classes.class_of(classes.representative(c)) for c in range(9)] == list(range(9))
@@ -404,7 +395,7 @@ def test_switching_classes_are_the_net_voltages_of_the_cycle():
 def _oracle_search(g, h, gr, filter_by_theorem=False):
     """Brute force over every rank: a charpoly, the conditions from the edge
     equations, and a canonical form per signature, joined pair by pair."""
-    on_fixture = g == PAIR.g and h == PAIR.h
+    on_fixture = g == fixtures.BASE_G and h == fixtures.BASE_H
     same_degrees = degree_sequence(g) == degree_sequence(h)
 
     def per_rank(base):
@@ -452,8 +443,9 @@ def _fields(results):
 
 @pytest.mark.parametrize("filter_by_theorem", [False, True])
 def test_search_equals_brute_force_oracle_on_fixture_pair_z2(filter_by_theorem):
-    found = search(PAIR.g, PAIR.h, Z2, SearchOptions(filter_by_theorem=filter_by_theorem))
-    assert _fields(found) == _oracle_search(PAIR.g, PAIR.h, Z2, filter_by_theorem)
+    options = SearchOptions(filter_by_theorem=filter_by_theorem)
+    found = search(fixtures.BASE_G, fixtures.BASE_H, Z2, options)
+    assert _fields(found) == _oracle_search(fixtures.BASE_G, fixtures.BASE_H, Z2, filter_by_theorem)
 
 
 def test_search_equals_brute_force_oracle_with_equal_degree_sequences_z3():

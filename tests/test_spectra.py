@@ -1,10 +1,9 @@
-import math
 import random
 
 import pytest
 
 from graphlifts import fixtures
-from graphlifts.algebra import AbelianGroup, poly_eval, poly_mul, poly_text
+from graphlifts.algebra import AbelianGroup, poly_mul, poly_text
 from graphlifts.graphs import from_edge_list
 from graphlifts.isomorphism import are_isomorphic, relabeled
 from graphlifts.lifts import NonAbelianSignature, build_constant_lift, constant_signature, make_signature
@@ -12,7 +11,6 @@ from graphlifts.spectra import (
     PreconditionFailed,
     charpoly,
     cospectral,
-    numeric_spectrum,
     verify_constant_lift_lemma,
     verify_decomposition,
 )
@@ -138,31 +136,3 @@ def test_constant_lift_lemma_preconditions():
         verify_constant_lift_lemma(STAR4, C4_PLUS_K1, z4, (1,))  # element not an involution
     assert verify_constant_lift_lemma(STAR4, C4_PLUS_K1, z4, (2,))
 
-
-def test_numeric_spectrum_known_roots():
-    # t^2 - 1
-    assert numeric_spectrum([-1, 0, 1]) == pytest.approx([-1.0, 1.0])
-    # (t - 2)^2 * t: multiplicity preserved
-    roots = numeric_spectrum([0, 4, -4, 1])
-    assert roots == pytest.approx([0.0, 2.0, 2.0])
-
-
-def test_numeric_spectrum_path_graph():
-    n = 5
-    path = from_edge_list(n, [(i, i + 1) for i in range(1, n)])
-    roots = numeric_spectrum(charpoly(path))
-    expect = sorted(2 * math.cos(k * math.pi / (n + 1)) for k in range(1, n + 1))
-    assert roots == pytest.approx(expect, abs=1e-8)
-
-
-def test_numeric_spectrum_matches_charpoly_evaluation():
-    rng = random.Random(17)
-    for _ in range(10):
-        g = random_base(rng, max_n=7)
-        p = charpoly(g)
-        roots = numeric_spectrum(p)
-        assert len(roots) == g.n
-        assert sum(roots) == pytest.approx(0.0, abs=1e-6)
-        for r in roots:
-            # within tol of a sign change or exact root
-            assert abs(poly_eval([float(c) for c in p], r)) < 1e-4
