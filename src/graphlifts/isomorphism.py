@@ -10,13 +10,25 @@ so that a prefix of placed vertices determines a prefix of the string. Ties
 inside a class are explored smallest-partial-string first, and branches whose
 partial string already exceeds the best known are pruned.
 
+Two leaves with equal strings give an automorphism: the permutation that
+carries one leaf's vertex order onto the other's. The search records these
+and prunes with them, after McKay & Piperno, "Practical graph isomorphism,
+II" (J. Symb. Comput. 60, 2014). At each node, the recorded automorphisms
+that fix the node's path of individualized vertices are joined into orbits,
+and a child in the orbit of a sibling explored before it is skipped. When a
+leaf equals the best one, the rest of its branch at the depth where its path
+parts from the best leaf's path is skipped too: the automorphism carries the
+best leaf's branch, explored in full, onto that branch. Refinement commutes
+with relabeling, so a skipped subtree is the image of an explored one under
+an automorphism and holds the same leaf strings, each met later in the search
+order than its preimage. The pruned search therefore returns the same best
+string and the same first leaf reaching it, hence the same edges and
+relabeling, as the search without pruning.
+
 Disconnected graphs are canonicalized one connected component at a time and
 the component forms concatenated in a fixed invariant order; lifts are often
 disjoint unions of isomorphic copies, and per-component search keeps those
-out of the factorial worst case.
-
-This is a miniature canonical-labeling scheme, not a competitive one; the
-vertex ceiling keeps worst-case backtracking acceptable.
+out of the factorial worst case. Graphs above the vertex ceiling are refused.
 """
 
 from __future__ import annotations
@@ -155,12 +167,12 @@ def _canonical_connected(g: Graph) -> CanonicalForm:
         return CanonicalForm(n, all_pairs, tuple(range(1, n + 1)))
     adj = neighbor_lists(g)
     adj_sets = [set(row) for row in adj]
-    best: dict = {"bits": None, "colors": None}
+    best: dict = {"bits": None, "colors": None, "path": None}
+    # automorphisms[k][v] is the image of vertex v; each one maps the best
+    # leaf's vertex order onto the order of a later leaf with the same string
+    automorphisms: list[list[int]] = []
 
-    def full_bits(colors: list[int]) -> tuple[int, ...]:
-        order = [0] * n
-        for v, c in enumerate(colors):
-            order[c] = v
+    def full_bits(order: list[int]) -> tuple[int, ...]:
         bits = []
         for j in range(1, n):
             vj = order[j]
@@ -168,30 +180,77 @@ def _canonical_connected(g: Graph) -> CanonicalForm:
                 bits.append(1 if order[i] in adj_sets[vj] else 0)
         return tuple(bits)
 
-    def search(colors: list[int]) -> None:
+    def orbits(path: list[int]) -> list[int]:
+        """Orbit representative of every vertex under the recorded
+        automorphisms that fix each vertex of `path`."""
+        rep = list(range(n))
+
+        def find(v: int) -> int:
+            while rep[v] != v:
+                rep[v] = rep[rep[v]]
+                v = rep[v]
+            return v
+
+        for gamma in automorphisms:
+            if all(gamma[p] == p for p in path):
+                for v in range(n):
+                    a, b = find(v), find(gamma[v])
+                    if a != b:
+                        rep[max(a, b)] = min(a, b)
+        return [find(v) for v in range(n)]
+
+    def search(colors: list[int], path: list[int]) -> int | None:
+        """Explore the node reached by individualizing the vertices of
+        `path` in turn. Returns None, or, after a leaf equal to the best
+        one, the depth where the two leaves' paths part, to resume there."""
         prefix = _prefix_bits(n, adj_sets, colors)
         if best["bits"] is not None and prefix > best["bits"][: len(prefix)]:
-            return
+            return None
         counts = [0] * n
         for c in colors:
             counts[c] += 1
         target = next((c for c in range(n) if counts[c] > 1), None)
         if target is None:
-            bits = full_bits(colors)
+            order = [0] * n
+            for v, c in enumerate(colors):
+                order[c] = v
+            bits = full_bits(order)
             if best["bits"] is None or bits < best["bits"]:
                 best["bits"] = bits
                 best["colors"] = list(colors)
-            return
-        members = sorted(v for v in range(n) if colors[v] == target)
+                best["path"] = path
+            elif bits == best["bits"]:
+                automorphisms.append([order[c] for c in best["colors"]])
+                common = 0
+                while best["path"][common] == path[common]:
+                    common += 1
+                return common
+            return None
+        # Members of one orbit root images of one subtree and share their
+        # prefix bits, so the least of them sorts first and only it is
+        # individualized; orbits grow as siblings find automorphisms.
+        orbit = orbits(path)
+        members = sorted(v for v in range(n) if colors[v] == target and orbit[v] == v)
         children = []
         for v in members:
             child = _individualize(n, adj, colors, v)
             children.append((_prefix_bits(n, adj_sets, child), v, child))
         children.sort(key=lambda t: (t[0], t[1]))
-        for _, _, child in children:
-            search(child)
+        explored: list[int] = []
+        seen_automorphisms = len(automorphisms)
+        for _, v, child in children:
+            if len(automorphisms) > seen_automorphisms:
+                seen_automorphisms = len(automorphisms)
+                orbit = orbits(path)
+            if any(orbit[u] == orbit[v] for u in explored):
+                continue
+            explored.append(v)
+            back = search(child, path + [v])
+            if back is not None and back < len(path):
+                return back
+        return None
 
-    search(_refine(n, adj, [0] * n))
+    search(_refine(n, adj, [0] * n), [])
     colors = best["colors"]
     relabeling = tuple(colors[v] + 1 for v in range(n))
     edges = sorted(
