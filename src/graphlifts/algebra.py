@@ -392,15 +392,6 @@ def _coerce(modulus: int, v) -> CycloElem:
     raise TypeError(f"cannot use {v!r} in cyclotomic arithmetic")
 
 
-def cyclo_zero(modulus: int) -> CycloElem:
-    deg = len(cyclotomic_poly(modulus)) - 1
-    return CycloElem(modulus, (0,) * deg)
-
-
-def cyclo_one(modulus: int) -> CycloElem:
-    return cyclo_int(modulus, 1)
-
-
 def cyclo_int(modulus: int, m: int) -> CycloElem:
     return CycloElem(modulus, _cyclo_reduce(modulus, [m]))
 
@@ -468,48 +459,61 @@ def berkowitz_charpoly(matrix, zero=0, one=1) -> list:
     the ring is Z[zeta_K], an integral domain, but fraction-free elimination
     would need exact division in it, which is not implemented here.
     Returns the coefficient list with index = power. Pass ring constants via
-    zero/one for non-integer entries.
+    zero/one for non-integer entries; every sum starts from zero, and an
+    entry counts as non-zero when it is != zero.
 
     Working from the trailing principal submatrices: if q is the charpoly
     coefficient vector (highest degree first) of the (m x m) trailing block B
     and the matrix is [[a, R], [C, B]], the next vector is the product of the
     Toeplitz lower-triangular matrix with first column
     [1, -a, -R*C, -R*B*C, ..., -R*B^(m-1)*C] with q.
+
+    The matrix is walked sparsely: the non-zero entries are listed once per
+    row and per column, the Krylov vector B^s*C is a dict keyed by the rows
+    it reaches, and it is pushed only through the columns of the trailing
+    block. On a lift, whose rows hold at most the base's maximum degree of
+    non-zero entries, each step costs that degree times the vector's support.
     """
     n = len(matrix)
     for row in matrix:
         if len(row) != n:
             raise NonSquare(f"matrix row has length {len(row)}, expected {n}")
+    # Non-zero (index, value) pairs of each row and column, largest index
+    # first, so a walk down a column of the trailing block below k stops at
+    # the first row <= k.
+    rows: list[list] = [[] for _ in range(n)]
+    cols: list[list] = [[] for _ in range(n)]
+    for i in range(n - 1, -1, -1):
+        for j in range(n - 1, -1, -1):
+            x = matrix[i][j]
+            if x != zero:
+                rows[i].append((j, x))
+                cols[j].append((i, x))
     coeffs = [one]  # highest degree first
     for k in range(n - 1, -1, -1):
-        m = n - 1 - k
-        a = matrix[k][k]
-        col = [one, zero - a]
-        if m:
-            r_row = matrix[k][k + 1 :]
-            b_rows = [matrix[i][k + 1 :] for i in range(k + 1, n)]
-            v = [matrix[i][k] for i in range(k + 1, n)]
-            for step in range(m):
-                col.append(zero - sum_product(r_row, v, zero))
-                if step + 1 < m:
-                    v = [sum_product(row, v, zero) for row in b_rows]
+        col = [one, zero - matrix[k][k]]
+        v = {i: x for i, x in cols[k] if i > k}
         width = len(coeffs)
-        new = []
-        for i in range(width + 1):
+        while v:  # once B^s*C is zero, so is every later entry of the column
             acc = zero
-            lo = max(0, i - (len(col) - 1))
-            for j in range(lo, min(i, width - 1) + 1):
-                acc = acc + col[i - j] * coeffs[j]
-            new.append(acc)
+            for j, x in rows[k]:
+                if j in v:  # v holds only the trailing block's indices
+                    acc = acc + x * v[j]
+            col.append(zero - acc)
+            if len(col) > width:
+                break
+            w = {}
+            for j, y in v.items():
+                for i, x in cols[j]:
+                    if i <= k:
+                        break
+                    w[i] = w.get(i, zero) + x * y
+            v = w
+        new = [zero] * (width + 1)
+        for d, c in enumerate(col):
+            if c != zero:
+                for j in range(min(width, width + 1 - d)):
+                    new[d + j] = new[d + j] + c * coeffs[j]
         coeffs = new
     coeffs.reverse()
     return coeffs
-
-
-def sum_product(xs, ys, zero=0):
-    """Dot product of xs and ys, summed from the ring's zero: starting from
-    int 0 would coerce every cyclotomic term."""
-    acc = zero
-    for x, y in zip(xs, ys):
-        acc = acc + x * y
-    return acc

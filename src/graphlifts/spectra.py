@@ -5,8 +5,10 @@ Cospectrality is decided only by exact integer polynomial equality. The
 decomposition check multiplies, over all characters chi of an abelian voltage
 group, the charpoly of the matrix whose (i, j) entry is chi of the edge
 voltage (inverse on the mirrored entry), and compares the product with the
-lift's charpoly; the product is computed in the cyclotomic ring and must
-reduce to integers coefficient by coefficient.
+lift's charpoly. That product has integer coefficients of bounded size, so it
+is computed exactly as the image of the character values under a ring
+homomorphism Z[zeta_K] -> Z/MZ, with integer charpolys throughout (see
+verify_decomposition).
 """
 
 from __future__ import annotations
@@ -15,21 +17,14 @@ from dataclasses import dataclass
 
 from .algebra import (
     AbelianGroup,
-    CycloElem,
-    Character,
     berkowitz_charpoly,
     characters,
     compose,
-    cyclo_one,
-    cyclo_zero,
+    cyclotomic_poly,
+    poly_mul,
 )
-from .graphs import Graph, adjacency_matrix
+from .graphs import Graph, adjacency_matrix, degree_sequence
 from .lifts import NonAbelianSignature, Signature, build_constant_lift, build_lift
-
-
-class NonIntegerProduct(RuntimeError):
-    """The character product failed to reduce to integers: an internal bug,
-    never a data condition."""
 
 
 class PreconditionFailed(ValueError):
@@ -51,21 +46,6 @@ def cospectral(g: Graph, h: Graph) -> bool:
     return charpoly(g) == charpoly(h)
 
 
-def build_Ax(base: Graph, s: Signature, chi: Character) -> list[list[CycloElem]]:
-    """The character image of a signature: entry (i, j) = chi(s(i, j)) for a
-    base edge with i < j, the ring inverse chi(s(i, j))^-1 mirrored at
-    (j, i), and zero elsewhere."""
-    if not s.is_abelian():
-        raise NonAbelianSignature("character matrices require an abelian signature")
-    n = base.n
-    zero = cyclo_zero(chi.group.exponent())
-    m = [[zero] * n for _ in range(n)]
-    for (i, j), g in s.assignments.items():
-        m[i - 1][j - 1] = chi.value(g)
-        m[j - 1][i - 1] = chi.inverse_value(g)
-    return m
-
-
 @dataclass(frozen=True)
 class VerifyReport:
     holds: bool
@@ -77,29 +57,38 @@ def verify_decomposition(base: Graph, s: Signature) -> VerifyReport:
     """Check that the lift's charpoly equals the product over all characters
     of the charpolys of the character matrices.
 
-    The per-character polynomials are multiplied in character index order and
-    every coefficient of the product must reduce to an integer; a non-integer
-    coefficient raises NonIntegerProduct.
+    Let K be the group exponent, N = n*|Gr| the lift's order and D the base's
+    maximum degree. Each character matrix is Hermitian with at most D
+    unit-modulus entries per row, so every root of the product has |t| <= D
+    and its t^k coefficient is at most C(N, k)*D^(N-k) <= (D+1)^N in absolute
+    value. The Galois group of Q(zeta_K) permutes the characters, so the
+    product lies in Z[t]. With r = 2^b and M = Phi_K(r) > 2*(D+1)^N (least
+    such b), zeta_K -> r is a ring homomorphism Z[zeta_K] = Z[x]/(Phi_K) ->
+    Z/MZ; x^K - 1 would not do, since Z[x]/(x^K - 1) is not Z[zeta_K]. So
+    the product is the symmetric residues mod M of the product of the integer
+    charpolys of the images of the character matrices, each entry chi(g)
+    mapped to r^e mod M and its mirrored inverse to r^(K-e) mod M.
     """
     if not s.is_abelian():
         raise NonAbelianSignature("decomposition requires an abelian signature")
     lift_poly = charpoly(build_lift(base, s))
-    modulus = s.group.exponent()
-    zero, one = cyclo_zero(modulus), cyclo_one(modulus)
-    product = [one]
+    exponent = s.group.exponent()
+    bound = 2 * (max(degree_sequence(base), default=0) + 1) ** (base.n * s.group.order())
+    phi = cyclotomic_poly(exponent)
+    b = 1
+    while (modulus := sum(c << (b * i) for i, c in enumerate(phi))) <= bound:
+        b += 1
+    r = 1 << b
+    product = [1]
     for chi in characters(s.group):
-        factor = berkowitz_charpoly(build_Ax(base, s, chi), zero=zero, one=one)
-        new = [zero] * (len(product) + len(factor) - 1)
-        for a, ca in enumerate(product):
-            for b, cb in enumerate(factor):
-                new[a + b] = new[a + b] + ca * cb
-        product = new
-    product_ints = []
-    for k, c in enumerate(product):
-        v = c.as_integer()
-        if v is None:
-            raise NonIntegerProduct(f"coefficient of t^{k} reduced to {c.coeffs}, not an integer")
-        product_ints.append(v)
+        m = [[0] * base.n for _ in range(base.n)]
+        for (i, j), g in s.assignments.items():
+            e = chi.root_exponent(g)
+            m[i - 1][j - 1] = pow(r, e, modulus)
+            m[j - 1][i - 1] = pow(r, -e % exponent, modulus)
+        factor = [c % modulus for c in berkowitz_charpoly(m)]
+        product = [c % modulus for c in poly_mul(product, factor)]
+    product_ints = [c - modulus if 2 * c > modulus else c for c in product]
     return VerifyReport(lift_poly == product_ints, lift_poly, product_ints)
 
 
