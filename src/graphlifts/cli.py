@@ -2,14 +2,17 @@
 
 Commands: lift, charpoly, cospectral, iso, verify-mota, search, verify-paper.
 Exit codes: 0 = claim verified / cospectral / isomorphic, 1 = negative
-result, 2 = usage or input error. All output is deterministic: identical
-inputs produce byte-identical stdout. --jobs is accepted for compatibility
-and has no effect.
+result, 2 = usage or input error (a malformed or non-UTF-8 file included).
+All output is deterministic: identical inputs produce byte-identical stdout.
+--format, --jobs and --budget are accepted before or after the subcommand;
+--jobs is accepted for compatibility and has no effect. The parser is built
+on the first call of main and reused by later calls in the same process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass
@@ -331,69 +334,61 @@ class SystemExit2(Exception):
     """Usage error surfaced with exit code 2."""
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared after it.
+
+    --format, --jobs and --budget are accepted before or after the
+    subcommand. One parent parser declares them with suppressed defaults, so
+    a subcommand's parser leaves alone a value given before the subcommand;
+    main supplies the defaults.
+    """
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--format",
+        choices=("g6", "edges", "matrix"),
+        default=argparse.SUPPRESS,
+        help="default graph output format",
+    )
+    common.add_argument(
+        "--jobs", type=int, default=argparse.SUPPRESS, help="accepted for compatibility; has no effect"
+    )
+    common.add_argument(
+        "--budget", type=int, default=argparse.SUPPRESS, help="max signatures per side for search"
+    )
     parser = argparse.ArgumentParser(
         prog="graphlifts",
         description="Voltage lifts of graphs, exact spectra, and cospectral pair search.",
+        parents=[common],
     )
-    def add_common(target, suppress=False):
-        kw = {"default": argparse.SUPPRESS} if suppress else {}
-        target.add_argument(
-            "--format",
-            choices=("g6", "edges", "matrix"),
-            help="default graph output format",
-            **(kw or {"default": "g6"}),
-        )
-        target.add_argument(
-            "--jobs",
-            type=int,
-            help="accepted for compatibility; has no effect",
-            **kw,
-        )
-        target.add_argument(
-            "--budget",
-            type=int,
-            help="max signatures per side for search",
-            **(kw or {"default": 10**6}),
-        )
-
-    add_common(parser)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("lift", help="build the lift selected by a signature file")
+    def command(name: str, func, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, parents=[common])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("lift", _cmd_lift, "build the lift selected by a signature file")
     p.add_argument("--graph", required=True, help="base graph file (graph6 or edge list)")
     p.add_argument("--signature", required=True, help="signature file")
     p.add_argument("--out", choices=("g6", "edges", "matrix"), help="output format (overrides --format)")
-    add_common(p, suppress=True)
-    p.set_defaults(func=_cmd_lift)
 
-    p = sub.add_parser("charpoly", help="exact characteristic polynomial of a graph")
+    p = command("charpoly", _cmd_charpoly, "exact characteristic polynomial of a graph")
     p.add_argument("graph", help="graph file")
-    add_common(p, suppress=True)
-    p.set_defaults(func=_cmd_charpoly)
 
-    p = sub.add_parser("cospectral", help="exit 0 iff two graphs are cospectral")
+    p = command("cospectral", _cmd_cospectral, "exit 0 iff two graphs are cospectral")
     p.add_argument("graph_a")
     p.add_argument("graph_b")
-    add_common(p, suppress=True)
-    p.set_defaults(func=_cmd_cospectral)
 
-    p = sub.add_parser("iso", help="exit 0 iff two graphs are isomorphic")
+    p = command("iso", _cmd_iso, "exit 0 iff two graphs are isomorphic")
     p.add_argument("graph_a")
     p.add_argument("graph_b")
-    add_common(p, suppress=True)
-    p.set_defaults(func=_cmd_iso)
 
-    p = sub.add_parser(
-        "verify-mota",
-        help="check the character-decomposition identity for a lift",
-    )
+    p = command("verify-mota", _cmd_verify_mota, "check the character-decomposition identity for a lift")
     p.add_argument("--graph", required=True)
     p.add_argument("--signature", required=True)
-    add_common(p, suppress=True)
-    p.set_defaults(func=_cmd_verify_mota)
 
-    p = sub.add_parser("search", help="search a signature space for cospectral lift pairs")
+    p = command("search", _cmd_search, "search a signature space for cospectral lift pairs")
     p.add_argument("--base-g", help="G-side base graph file")
     p.add_argument("--base-h", help="H-side base graph file")
     p.add_argument("--fixture-pair", action="store_true", help="use the bundled base pair")
@@ -404,22 +399,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="keep only pairs passing both cospectrality conditions (bundled pair only)",
     )
     p.add_argument("--emit-signatures", metavar="DIR", help="write signature files for results")
-    add_common(p, suppress=True)
-    p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("verify-paper", help="run the bundled fixture verification suite")
-    add_common(p, suppress=True)
-    p.set_defaults(func=_cmd_verify_paper)
+    command("verify-paper", _cmd_verify_paper, "run the bundled fixture verification suite")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # The shared options' defaults. set_defaults would write them into the
+    # option objects, which the parsers share through `parents`, and the
+    # subcommand's parser would then overwrite a value given before it.
+    defaults = argparse.Namespace(format="g6", budget=10**6)
+    args = build_parser().parse_args(argv, defaults)
     try:
         return args.func(args)
     except (GraphError, SignatureError, AlgebraError, WrongBaseGraph, BudgetExceeded,
-            TooLarge, SystemExit2) as exc:
+            TooLarge, SystemExit2, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -8,7 +8,9 @@ time and keeps the lexicographically smallest adjacency bit-string over all
 discrete labelings reached, reading the upper triangle in column-major order
 so that a prefix of placed vertices determines a prefix of the string. Ties
 inside a class are explored smallest-partial-string first, and branches whose
-partial string already exceeds the best known are pruned.
+partial string already exceeds the best known are pruned. Each node's partial
+string is computed once, when its parent sorts its children; at a leaf every
+vertex is placed and the partial string is the whole string.
 
 Two leaves with equal strings give an automorphism: the permutation that
 carries one leaf's vertex order onto the other's. The search records these
@@ -172,14 +174,6 @@ def _canonical_connected(g: Graph) -> CanonicalForm:
     # leaf's vertex order onto the order of a later leaf with the same string
     automorphisms: list[list[int]] = []
 
-    def full_bits(order: list[int]) -> tuple[int, ...]:
-        bits = []
-        for j in range(1, n):
-            vj = order[j]
-            for i in range(j):
-                bits.append(1 if order[i] in adj_sets[vj] else 0)
-        return tuple(bits)
-
     def orbits(path: list[int]) -> list[int]:
         """Orbit representative of every vertex under the recorded
         automorphisms that fix each vertex of `path`."""
@@ -199,11 +193,11 @@ def _canonical_connected(g: Graph) -> CanonicalForm:
                         rep[max(a, b)] = min(a, b)
         return [find(v) for v in range(n)]
 
-    def search(colors: list[int], path: list[int]) -> int | None:
+    def search(colors: list[int], path: list[int], prefix: tuple[int, ...]) -> int | None:
         """Explore the node reached by individualizing the vertices of
-        `path` in turn. Returns None, or, after a leaf equal to the best
-        one, the depth where the two leaves' paths part, to resume there."""
-        prefix = _prefix_bits(n, adj_sets, colors)
+        `path` in turn; `prefix` is its _prefix_bits, which at a leaf is the
+        whole string. Returns None, or, after a leaf equal to the best one,
+        the depth where the two leaves' paths part, to resume there."""
         if best["bits"] is not None and prefix > best["bits"][: len(prefix)]:
             return None
         counts = [0] * n
@@ -211,15 +205,14 @@ def _canonical_connected(g: Graph) -> CanonicalForm:
             counts[c] += 1
         target = next((c for c in range(n) if counts[c] > 1), None)
         if target is None:
-            order = [0] * n
-            for v, c in enumerate(colors):
-                order[c] = v
-            bits = full_bits(order)
-            if best["bits"] is None or bits < best["bits"]:
-                best["bits"] = bits
+            if best["bits"] is None or prefix < best["bits"]:
+                best["bits"] = prefix
                 best["colors"] = list(colors)
                 best["path"] = path
-            elif bits == best["bits"]:
+            elif prefix == best["bits"]:
+                order = [0] * n
+                for v, c in enumerate(colors):
+                    order[c] = v
                 automorphisms.append([order[c] for c in best["colors"]])
                 common = 0
                 while best["path"][common] == path[common]:
@@ -238,19 +231,20 @@ def _canonical_connected(g: Graph) -> CanonicalForm:
         children.sort(key=lambda t: (t[0], t[1]))
         explored: list[int] = []
         seen_automorphisms = len(automorphisms)
-        for _, v, child in children:
+        for child_prefix, v, child in children:
             if len(automorphisms) > seen_automorphisms:
                 seen_automorphisms = len(automorphisms)
                 orbit = orbits(path)
             if any(orbit[u] == orbit[v] for u in explored):
                 continue
             explored.append(v)
-            back = search(child, path + [v])
+            back = search(child, path + [v], child_prefix)
             if back is not None and back < len(path):
                 return back
         return None
 
-    search(_refine(n, adj, [0] * n), [])
+    root = _refine(n, adj, [0] * n)
+    search(root, [], _prefix_bits(n, adj_sets, root))
     colors = best["colors"]
     relabeling = tuple(colors[v] + 1 for v in range(n))
     edges = sorted(

@@ -319,12 +319,13 @@ def iter_search(
     cospectral, in lexicographic (rank_g, rank_h) order, as it is found.
 
     The arguments are checked before this returns. Each rank is mapped to its
-    switching class from the rank's digits. The charpoly, the canonical form
-    and the fixture conditions are computed once per class, on the class's
-    normalised representative, and pairs are joined by exact charpoly
-    equality. Every vertex of a lift inherits the degree of its base vertex,
-    so lifts of bases with different degree sequences are never isomorphic;
-    canonical forms are computed only when the degree test cannot decide.
+    switching class from the rank's digits. The charpoly and the canonical
+    form are computed once per class, on the class's normalised
+    representative, pairs are joined by exact charpoly equality, and the
+    fixture conditions are evaluated once per cospectral pair of classes.
+    Every vertex of a lift inherits the degree of its base vertex, so lifts
+    of bases with different degree sequences are never isomorphic; canonical
+    forms are computed only when the degree test cannot decide.
     """
     if not isinstance(gr, AbelianGroup):
         raise NonAbelianSignature("search enumerates abelian signature spaces")
@@ -352,9 +353,6 @@ def _rows(g: Graph, h: Graph, gr: AbelianGroup, filter_by_theorem: bool, on_fixt
     reps_h = [classes_h.representative(c) for c in range(classes_h.count)]
     polys_g = [tuple(charpoly(build_lift(g, s))) for s in reps_g]
     polys_h = [tuple(charpoly(build_lift(h, s))) for s in reps_h]
-    if on_fixture:
-        cond_g = [(check_condition1(s), net_voltage(s, ALPHA_CYCLE)) for s in reps_g]
-        cond_h = [(net_voltage(s, BETA_CYCLE), net_voltage(s, GAMMA_CYCLE)) for s in reps_h]
 
     same_degrees = degree_sequence(g) == degree_sequence(h)
     canon_g: dict[int, tuple] = {}
@@ -372,11 +370,7 @@ def _rows(g: Graph, h: Graph, gr: AbelianGroup, filter_by_theorem: bool, on_fixt
         for ch in range(classes_h.count):
             if polys_h[ch] != polys_g[cg]:
                 continue
-            if on_fixture:
-                c1, alpha = cond_g[cg]
-                cond: bool | None = c1 and _multisets_match(gr, alpha, *cond_h[ch])
-            else:
-                cond = None
+            cond = conditions_hold(reps_g[cg], reps_h[ch]) if on_fixture else None
             if filter_by_theorem and not cond:
                 continue
             if same_degrees:

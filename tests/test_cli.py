@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from graphlifts import fixtures
+from graphlifts import cli, fixtures
 from graphlifts.cli import fixture_set, load_graph, main, matrix_problems, run_bundled_checks
 from graphlifts.graphs import emit_edge_list, emit_graph6, from_edge_list, parse_graph6
 from graphlifts.lifts import emit_signature
@@ -145,6 +145,51 @@ def test_usage_and_input_errors(demo, capsys, tmp_path):
     p4.write_text(emit_edge_list(from_edge_list(4, [(1, 2), (2, 3), (3, 4)])))
     assert main(["search", "--base-g", str(p4), "--base-h", str(p4), "--group", "Z2", "--filter-by-theorem"]) == 2
     capsys.readouterr()
+
+
+def test_non_utf8_input_exits_2(demo, capsys, tmp_path):
+    graph = tmp_path / "graph.bin"
+    graph.write_bytes(b"\xff\n")
+    assert main(["charpoly", str(graph)]) == 2
+    sig = tmp_path / "sig.bin"
+    sig.write_bytes(b"group Z2\n1 2 : \xff\n")
+    assert main(["verify-mota", "--graph", str(demo["g_edges"]), "--signature", str(sig)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line[:7] for line in captured.err.splitlines()] == ["error: ", "error: "]
+
+
+def test_shared_options_before_or_after_the_subcommand(demo, capsys):
+    lift = ["lift", "--graph", str(demo["g_edges"]), "--signature", str(demo["sig_g"])]
+    assert main(lift) == 0
+    g6 = capsys.readouterr().out
+    assert parse_graph6(g6.strip()).n == 18
+    assert main(["--format", "edges"] + lift) == 0
+    edges = capsys.readouterr().out
+    assert edges.startswith("18 21\n")
+    assert main(lift + ["--format", "edges"]) == 0
+    assert capsys.readouterr().out == edges
+    # --out overrides --format on either side of the subcommand
+    assert main(["--format", "matrix"] + lift + ["--out", "edges"]) == 0
+    assert capsys.readouterr().out == edges
+    assert main(lift + ["--format", "matrix", "--out", "edges"]) == 0
+    assert capsys.readouterr().out == edges
+    # the parser is shared between calls, and no value leaks from one to the next
+    assert main(lift) == 0
+    assert capsys.readouterr().out == g6
+    search = ["search", "--fixture-pair", "--group", "Z2"]
+    assert main(["--budget", "10"] + search) == 2
+    assert main(search + ["--budget", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("the budget is 10 per side") == 2
+
+
+def test_parser_is_built_once_and_not_at_import():
+    assert cli.build_parser() is cli.build_parser()
+    code = "import graphlifts.cli as c; print(c.build_parser.cache_info().misses)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0 and run.stdout == "0\n"
 
 
 def test_search_on_non_cospectral_bases_exits_2(capsys, tmp_path):

@@ -1,9 +1,11 @@
 """Static checks on the source tree: the names the benchmark harness reaches
-into, and imports that nothing uses."""
+into, imports that nothing uses, and top-level definitions that nothing
+names."""
 
 import ast
 import importlib
 import pathlib
+from collections import Counter
 
 import graphlifts.cli as cli
 
@@ -59,3 +61,56 @@ def test_no_unused_imports():
         and (names := _unused_imports(path.read_text(encoding="utf-8")))
     }
     assert unused == {}
+
+
+def _names(tree: ast.AST) -> Counter:
+    """How often each identifier is named in a syntax tree: as a variable, an
+    attribute, an imported name, or a string (getattr targets such as
+    perfbench's TRACED entries)."""
+    names: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name.rsplit(".", 1)[-1]] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            names[node.value] += 1
+    return names
+
+
+def _unnamed_definitions(modules: dict[str, str], others: list[str]) -> list[str]:
+    """Top-level functions and classes of `modules` (file name -> source)
+    named nowhere outside their own definition, in the modules or `others`."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    named = sum((_names(tree) for tree in trees.values()), Counter())
+    named += sum((_names(ast.parse(source)) for source in others), Counter())
+    return sorted(
+        f"{name}:{node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and named[node.name] == _names(node)[node.name]
+    )
+
+
+def test_unnamed_definition_check_flags_a_helper_without_caller():
+    module = "def used():\n    return 1\n\ndef recursive(n):\n    return recursive(n - 1)\n"
+    assert _unnamed_definitions({"m.py": module}, ["print(used())\n"]) == ["m.py:recursive"]
+
+
+def test_every_top_level_definition_is_named_elsewhere():
+    # __init__.py defines nothing; its re-exports count as names.
+    modules = {
+        path.name: path.read_text(encoding="utf-8")
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    others = [
+        path.read_text(encoding="utf-8")
+        for folder in ("src", "tests", "scripts", "perfbench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+        if path.parent != PACKAGE or path.name == "__init__.py"
+    ]
+    assert _unnamed_definitions(modules, others) == []

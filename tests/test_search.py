@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import takewhile
 
 import pytest
 
@@ -300,6 +301,25 @@ def test_search_filtered_subset():
     fkeys = {(r.rank_g, r.rank_h) for r in filtered}
     assert fkeys <= ukeys
     assert fkeys == {(r.rank_g, r.rank_h) for r in unfiltered if r.conditions_satisfied}
+
+
+def test_search_conditions_column_over_z2xz2():
+    # Every cospectral pair of the bundled bases passes the conditions over
+    # Z2, Z3 and Z4; over Z2xZ2, 6 of the 10 cospectral class pairs fail
+    # them, the first failing row (of 16,449) having rank_g 64.
+    z2xz2 = AbelianGroup((2, 2))
+
+    def head(options):
+        rows = iter_search(fixtures.BASE_G, fixtures.BASE_H, z2xz2, options)
+        return list(takewhile(lambda r: r.rank_g <= 64, rows))
+
+    rows = head(SearchOptions())
+    assert [r.conditions_satisfied for r in rows] == [
+        conditions_hold(r.sig_g, r.sig_h) for r in rows
+    ]
+    assert any(r.conditions_satisfied for r in rows)
+    assert not all(r.conditions_satisfied for r in rows)
+    assert head(SearchOptions(filter_by_theorem=True)) == [r for r in rows if r.conditions_satisfied]
 
 
 def test_search_requires_cospectral_bases():
