@@ -13,12 +13,7 @@ import sys
 from graphlifts.algebra import parse_group
 from graphlifts.fixtures import BASE_G, BASE_H
 from graphlifts.lifts import build_lift
-from graphlifts.search import (
-    check_condition1,
-    check_condition2,
-    signature_count,
-    signature_from_rank,
-)
+from graphlifts.search import conditions_hold, signature_count, signature_from_rank
 from graphlifts.spectra import charpoly
 
 
@@ -57,7 +52,7 @@ def sweep_pairs(group_text: str, trials: int, seed: int):
     for rank_g, rank_h in candidates:
         sig_g, pg = charpoly_g(rank_g)
         sig_h, ph = charpoly_h(rank_h)
-        cond = check_condition1(sig_g) and check_condition2(sig_g, sig_h)
+        cond = conditions_hold(sig_g, sig_h)
         cosp = pg == ph
         if cond:
             passing += 1

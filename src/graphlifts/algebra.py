@@ -8,6 +8,9 @@ ring Z[x]/(Phi_K) so that every comparison is exact integer arithmetic.
 Composition order: a*b means "apply a, then b". Both conventions appear in
 the literature; this one matches the lift rule s(i,j)*g_a = g_b read left to
 right.
+
+The order of a group's elements (AbelianGroup.index) and the action of a
+voltage on the positions of a fibre (fiber_action) are defined here only.
 """
 
 from __future__ import annotations
@@ -78,6 +81,14 @@ class AbelianGroup:
         """All elements in lexicographic residue order, identity first."""
         return [tuple(t) for t in product(*(range(k) for k in self.orders))]
 
+    def index(self, e) -> int:
+        """The position of e in elements(): its residues as mixed-radix digits."""
+        _require_member(self, e)
+        i = 0
+        for a, k in zip(e, self.orders):
+            i = i * k + a
+        return i
+
     def exponent(self) -> int:
         return math.lcm(*self.orders)
 
@@ -136,18 +147,23 @@ def inverse(gr: GroupSpec, a):
     return tuple(inv)
 
 
-def perm_matrix(gr: AbelianGroup, g) -> list[list[int]]:
-    """Right regular representation: P[i][j] = 1 iff elements[i] * g = elements[j]."""
-    if not isinstance(gr, AbelianGroup):
-        raise AlgebraError("perm_matrix is defined for abelian groups only")
+def fiber_action(gr: GroupSpec, g) -> list[int]:
+    """The 0-based image of each fibre position under the voltage g: the
+    right regular action e -> e*g on elements() for an abelian group, the
+    natural action a -> g(a) on {1..k} for S_k."""
     _require_member(gr, g)
-    elems = gr.elements()
-    index = {e: i for i, e in enumerate(elems)}
-    size = len(elems)
-    m = [[0] * size for _ in range(size)]
-    for i, e in enumerate(elems):
-        m[i][index[compose(gr, e, g)]] = 1
-    return m
+    if isinstance(gr, SymmetricGroup):
+        return [b - 1 for b in g]
+    images = [0]
+    for a, k in zip(g, gr.orders):
+        images = [i * k + (b + a) % k for i in images for b in range(k)]
+    return images
+
+
+def perm_matrix(gr: GroupSpec, g) -> list[list[int]]:
+    """The matrix of the fibre action, P[i][j] = 1 iff g takes position i to
+    j: for an abelian group, the right regular representation."""
+    return [[int(j == b) for j in range(gr.fiber_size())] for b in fiber_action(gr, g)]
 
 
 # ---------------------------------------------------------------------------
@@ -260,24 +276,29 @@ def poly_mul(a: list, b: list) -> list:
     return poly_trim(out)
 
 
-def poly_divexact(a: list, b: list) -> list:
-    """Exact quotient a / b over the integers; raises if it does not divide."""
+def _long_division(a, b) -> tuple[list, list]:
+    """Quotient and remainder of a by a trimmed b; AlgebraError if not integral."""
     a = list(a)
-    b = poly_trim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
     out = [0] * max(len(a) - len(b) + 1, 0)
     lead = b[-1]
     for k in range(len(out) - 1, -1, -1):
         num = a[k + len(b) - 1]
         if num % lead:
             raise AlgebraError("polynomial division is not exact")
-        q = num // lead
-        out[k] = q
+        q = out[k] = num // lead
         if q:
             for j, cb in enumerate(b):
                 a[k + j] -= q * cb
-    if any(a):
+    return out, a[: len(b) - 1]
+
+
+def poly_divexact(a: list, b: list) -> list:
+    """Exact quotient a / b over the integers; raises if it does not divide."""
+    b = poly_trim(list(b))
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    out, rem = _long_division(a, b)
+    if any(rem):
         raise AlgebraError("polynomial division leaves a remainder")
     return poly_trim(out)
 
@@ -315,17 +336,10 @@ def cyclotomic_poly(k: int) -> tuple[int, ...]:
 
 
 def _cyclo_reduce(modulus: int, coeffs: list[int]) -> tuple[int, ...]:
-    phi = list(cyclotomic_poly(modulus))
-    deg = len(phi) - 1
-    coeffs = list(coeffs)
-    for k in range(len(coeffs) - 1, deg - 1, -1):
-        c = coeffs[k]
-        if c:
-            for j in range(len(phi)):
-                coeffs[k - deg + j] -= c * phi[j]
-    coeffs = coeffs[:deg]
-    coeffs += [0] * (deg - len(coeffs))
-    return tuple(coeffs)
+    """The remainder of coeffs by Phi_K, padded to length phi(K)."""
+    phi = cyclotomic_poly(modulus)
+    rem = _long_division(coeffs, phi)[1]
+    return tuple(rem + [0] * (len(phi) - 1 - len(rem)))
 
 
 @dataclass(frozen=True)
@@ -355,9 +369,7 @@ class CycloElem:
         return CycloElem(self.modulus, tuple(-a for a in self.coeffs))
 
     def __sub__(self, other):
-        other = _coerce(self.modulus, other)
-        self._check(other)
-        return CycloElem(self.modulus, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self + -_coerce(self.modulus, other)
 
     def __rsub__(self, other):
         return _coerce(self.modulus, other) - self
@@ -365,14 +377,8 @@ class CycloElem:
     def __mul__(self, other):
         other = _coerce(self.modulus, other)
         self._check(other)
-        n = len(self.coeffs)
-        conv = [0] * (2 * n - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                conv[i + j] += a * b
-        return CycloElem(self.modulus, _cyclo_reduce(self.modulus, conv))
+        product = poly_mul(self.coeffs, other.coeffs)
+        return CycloElem(self.modulus, _cyclo_reduce(self.modulus, product))
 
     __rmul__ = __mul__
 
@@ -400,11 +406,6 @@ def root_power(modulus: int, t: int) -> CycloElem:
     """omega^t where omega is the class of x, a primitive K-th root of unity."""
     t %= modulus
     return CycloElem(modulus, _cyclo_reduce(modulus, [0] * t + [1]))
-
-
-def inverse_root_power(modulus: int, t: int) -> CycloElem:
-    """The ring inverse of omega^t, namely omega^(K - t)."""
-    return root_power(modulus, (-t) % modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +437,8 @@ class Character:
         return root_power(self.group.exponent(), self.root_exponent(e))
 
     def inverse_value(self, e) -> CycloElem:
-        return inverse_root_power(self.group.exponent(), self.root_exponent(e))
+        """The ring inverse of value(e)."""
+        return root_power(self.group.exponent(), -self.root_exponent(e))
 
 
 def characters(gr: AbelianGroup) -> list[Character]:

@@ -55,10 +55,12 @@ class FixtureSet:
 
 
 def matrix_problems(m) -> list[str]:
-    """Violations of the transcription invariants: symmetric 0/1, zero
-    diagonal, exactly 42 ones."""
+    """Violations of the transcription invariants: square, symmetric 0/1,
+    zero diagonal, exactly 42 ones."""
     problems = []
     n = len(m)
+    if any(len(row) != n for row in m):
+        return [f"not square: {n} rows of lengths {sorted({len(row) for row in m})}"]
     for i in range(n):
         for j in range(n):
             if m[i][j] not in (0, 1):
@@ -85,11 +87,15 @@ def fixture_set() -> FixtureSet:
 
 
 def _read_text(path: str) -> str:
-    """The contents of a file, or of stdin when path is "-"."""
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    """The contents of a file, or of stdin when path is "-". Text that is not
+    UTF-8 is an input error that names where it came from."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise SystemExit2(f"{'stdin' if path == '-' else repr(path)} is not UTF-8 text: {exc}") from None
 
 
 def load_graph(path: str) -> Graph:
@@ -249,10 +255,11 @@ def run_bundled_checks() -> tuple[list[str], bool]:
         f"base pair cospectral: charpoly {poly_text(p_g)} vs {poly_text(p_h)}",
     )
 
-    # (2) transcribed 18x18 matrices
+    # (2) transcribed 18x18 matrices; graphs are built only from well-formed ones
     probs = matrix_problems(fs.matrix_g) + matrix_problems(fs.matrix_h)
-    fg = from_adjacency_matrix(fs.matrix_g)
-    fh = from_adjacency_matrix(fs.matrix_h)
+    fg = fh = None
+    if not probs:
+        fg, fh = from_adjacency_matrix(fs.matrix_g), from_adjacency_matrix(fs.matrix_h)
     ok2 = not probs and cospectral(fg, fh)
     detail = "; ".join(probs) if probs else f"shared charpoly {poly_text(charpoly(fg))}"
     report("(2)", ok2, f"transcribed matrices well-formed and cospectral: {detail}")
@@ -271,22 +278,20 @@ def run_bundled_checks() -> tuple[list[str], bool]:
 
     # (4) constructed lifts vs the transcribed matrices (the source material
     # never documents its vertex ordering, so this is reported, not asserted)
-    iso_g, _ = are_isomorphic(built_g, fg)
-    iso_h, _ = are_isomorphic(built_h, fh)
-    report(
-        "(4)",
-        None,
-        f"constructed vs transcribed: G side isomorphic: {'yes' if iso_g else 'no'}; "
-        f"H side isomorphic: {'yes' if iso_h else 'no'}",
-    )
-    anomalies = _matching_anomalies(fs)
-    if anomalies:
-        report(
-            "(4)",
-            None,
-            "transcription note: fiber blocks without matching structure under "
-            "the package vertex order: " + ", ".join(anomalies) + " (reported, not corrected)",
-        )
+    if fg is None:
+        report("(4)", None, "constructed vs transcribed: not compared, the transcription is malformed")
+    else:
+        iso = ["yes" if are_isomorphic(b, t)[0] else "no" for b, t in ((built_g, fg), (built_h, fh))]
+        report("(4)", None, f"constructed vs transcribed: G side isomorphic: {iso[0]}; "
+               f"H side isomorphic: {iso[1]}")
+        anomalies = _matching_anomalies(fs)
+        if anomalies:
+            report(
+                "(4)",
+                None,
+                "transcription note: fiber blocks without matching structure under "
+                "the package vertex order: " + ", ".join(anomalies) + " (reported, not corrected)",
+            )
 
     # (5) the constructed pair itself
     iso_pair, _ = are_isomorphic(built_g, built_h)
@@ -331,7 +336,7 @@ def _cmd_verify_paper(_args) -> int:
 
 
 class SystemExit2(Exception):
-    """Usage error surfaced with exit code 2."""
+    """Usage or input error surfaced with exit code 2."""
 
 
 @functools.cache
@@ -413,7 +418,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (GraphError, SignatureError, AlgebraError, WrongBaseGraph, BudgetExceeded,
-            TooLarge, SystemExit2, UnicodeDecodeError) as exc:
+            TooLarge, SystemExit2) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

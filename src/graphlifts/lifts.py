@@ -7,7 +7,8 @@ symmetric-group voltages acting naturally on {1..k}) and replaces each base
 edge with the perfect matching selected by its voltage: (i, a) is joined to
 (j, b) exactly when the voltage maps fiber position a to fiber position b.
 Traversing an edge against its stored orientation applies the inverse
-element.
+element. The action, with the order of the positions in a fiber, is
+defined once, in algebra.fiber_action.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .algebra import (
     BadGroupSpec,
     ElementNotInGroup,
     GroupSpec,
-    compose,
+    fiber_action,
     format_element,
     format_group,
     parse_element,
@@ -160,15 +161,6 @@ def emit_signature(s: Signature) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fiber_images(group: GroupSpec, g) -> list[int]:
-    """0-based fiber position a -> position b under voltage g."""
-    if isinstance(group, AbelianGroup):
-        elems = group.elements()
-        index = {e: i for i, e in enumerate(elems)}
-        return [index[compose(group, e, g)] for e in elems]
-    return [g[a] - 1 for a in range(group.degree)]
-
-
 def build_lift(base: Graph, s: Signature) -> Graph:
     """Construct the lifted graph selected by signature s.
 
@@ -184,8 +176,7 @@ def build_lift(base: Graph, s: Signature) -> Graph:
     d = s.group.fiber_size()
     pairs = []
     for (i, j), g in s.items():
-        images = _fiber_images(s.group, g)
-        for a, b in enumerate(images):
+        for a, b in enumerate(fiber_action(s.group, g)):
             pairs.append(((i - 1) * d + a + 1, (j - 1) * d + b + 1))
     return from_edge_list(base.n * d, pairs)
 

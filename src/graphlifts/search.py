@@ -17,12 +17,12 @@ class rather than once per signature.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
 from . import fixtures
-from .algebra import AbelianGroup, GroupSpec, compose, inverse
+from .algebra import AbelianGroup, GroupSpec, compose, fiber_action, inverse
 from .graphs import Graph, degree_sequence, neighbor_lists
 from .isomorphism import canonical_form
 from .lifts import NonAbelianSignature, Signature, build_lift, make_signature
@@ -83,10 +83,20 @@ def check_condition1(sg: Signature) -> bool:
     return net_voltage(sg, CONDITION1_CYCLE) == sg.group.identity()
 
 
-def _multisets_match(gr: AbelianGroup, alpha, beta, gamma) -> bool:
-    left = Counter([alpha, inverse(gr, alpha)] * 2)
-    right = Counter([beta, inverse(gr, beta), gamma, inverse(gr, gamma)])
-    return left == right
+def _check_pair(sg: Signature, sh: Signature) -> bool:
+    """Check both signatures of a pair once; return whether condition 1 holds."""
+    holds = check_condition1(sg)
+    _require_abelian(sh)
+    _require_base(sh, fixtures.BASE_H, "H")
+    if sg.group != sh.group:
+        raise WrongBaseGraph("the two signatures use different groups")
+    return holds
+
+
+def _condition2(sg: Signature, sh: Signature) -> bool:
+    alpha = net_voltage(sg, ALPHA_CYCLE)
+    pair = (alpha, inverse(sg.group, alpha))
+    return net_voltage(sh, BETA_CYCLE) in pair and net_voltage(sh, GAMMA_CYCLE) in pair
 
 
 def check_condition2(sg: Signature, sh: Signature) -> bool:
@@ -94,23 +104,17 @@ def check_condition2(sg: Signature, sh: Signature) -> bool:
     with alpha = x*v*w^-1 on the G side and beta = y1*r1*z1^-1,
     gamma = u1*w1*v1^-1 on the H side, the multisets
     {alpha, alpha^-1, alpha, alpha^-1} and {beta, beta^-1, gamma, gamma^-1}
-    must be equal. alpha is the net voltage around triangle 2-3-4 of G;
-    beta and gamma are those around triangles 3-5-6 and 1-2-3 of H."""
-    _require_abelian(sg)
-    _require_abelian(sh)
-    _require_base(sg, fixtures.BASE_G, "G")
-    _require_base(sh, fixtures.BASE_H, "H")
-    if sg.group != sh.group:
-        raise WrongBaseGraph("the two signatures use different groups")
-    if not check_condition1(sg):
+    must be equal, that is, beta and gamma each lie in {alpha, alpha^-1}.
+    alpha is the net voltage around triangle 2-3-4 of G; beta and gamma are
+    those around triangles 3-5-6 and 1-2-3 of H."""
+    if not _check_pair(sg, sh):
         raise Condition1Violated("the first condition does not hold for the G-side signature")
-    beta, gamma = net_voltage(sh, BETA_CYCLE), net_voltage(sh, GAMMA_CYCLE)
-    return _multisets_match(sg.group, net_voltage(sg, ALPHA_CYCLE), beta, gamma)
+    return _condition2(sg, sh)
 
 
 def conditions_hold(sg: Signature, sh: Signature) -> bool:
     """Both conditions, without raising when the first fails."""
-    return check_condition1(sg) and check_condition2(sg, sh)
+    return _check_pair(sg, sh) and _condition2(sg, sh)
 
 
 def corollary_generate(
@@ -133,14 +137,7 @@ def corollary_generate(
     substitution: this is a candidate generator.
     """
     ident = gr.identity()
-    u = ident if u is None else u
-    v = ident if v is None else v
-    w = ident if w is None else w
-    x = ident if x is None else x
-    y = ident if y is None else y
-    r = ident if r is None else r
-    v1 = ident if v1 is None else v1
-    x1 = ident if x1 is None else x1
+    u, v, w, x, y, r, v1, x1 = (ident if p is None else p for p in (u, v, w, x, y, r, v1, x1))
     z = compose(gr, compose(gr, v, y), inverse(gr, w))
     sg = make_signature(
         fixtures.BASE_G,
@@ -221,11 +218,10 @@ def signature_from_rank(base: Graph, gr: GroupSpec, rank: int) -> Signature:
 
 
 def rank_of_signature(s: Signature) -> int:
-    elems = s.group.elements()
-    index = {e: i for i, e in enumerate(elems)}
+    gr, k = s.group, s.group.order()
     rank = 0
     for edge in s.base.edges:
-        rank = rank * len(elems) + index[s.assignments[edge]]
+        rank = rank * k + gr.index(s.assignments[edge])
     return rank
 
 
@@ -245,10 +241,11 @@ class SwitchingClasses:
         self.base = base
         self.group = gr
         self.elements = gr.elements()
-        self._index = {e: i for i, e in enumerate(self.elements)}
-        # Element-index tables; index 0 is the identity.
-        self._add = [[self._index[compose(gr, a, b)] for b in self.elements] for a in self.elements]
-        self._neg = [self._index[inverse(gr, a)] for a in self.elements]
+        # Tables of element indices; index 0 is the identity. _mul[a][b] is
+        # the index of a*b: row a is the fiber action of elements[a], which
+        # takes b to b*a = a*b.
+        self._mul = [fiber_action(gr, a) for a in self.elements]
+        self._neg = [row.index(0) for row in self._mul]
         position = {edge: e for e, edge in enumerate(base.edges)}
         adj = neighbor_lists(base)
         seen = [False] * base.n
@@ -274,15 +271,15 @@ class SwitchingClasses:
         self.count = len(self.elements) ** len(self._cotree)
 
     def _class_of_digits(self, digits: list[int]) -> int:
-        add, neg = self._add, self._neg
+        mul, neg = self._mul, self._neg
         potential = [0] * self.base.n
         for e, u, v, forward in self._tree:
             d = digits[e]
-            potential[v] = add[potential[u]][d if forward else neg[d]]
+            potential[v] = mul[potential[u]][d if forward else neg[d]]
         k = len(self.elements)
         cid = 0
         for e, i, j in self._cotree:
-            cid = cid * k + add[add[potential[i]][digits[e]]][neg[potential[j]]]
+            cid = cid * k + mul[mul[potential[i]][digits[e]]][neg[potential[j]]]
         return cid
 
     def class_ids(self) -> list[int]:
@@ -292,7 +289,7 @@ class SwitchingClasses:
 
     def class_of(self, s: Signature) -> int:
         """The number of the class of signature s."""
-        return self._class_of_digits([self._index[s.assignments[e]] for e in self.base.edges])
+        return self._class_of_digits([self.group.index(s.assignments[e]) for e in self.base.edges])
 
     def representative(self, cid: int) -> Signature:
         """The normalised signature of class cid: the identity on the forest

@@ -17,6 +17,7 @@ from graphlifts.algebra import (
     compose,
     cyclo_int,
     cyclotomic_poly,
+    fiber_action,
     format_element,
     format_group,
     inverse,
@@ -142,7 +143,15 @@ def test_perm_matrix_is_group_homomorphism(orders):
     elems = gr.elements()
     ident = [[int(i == j) for j in range(len(elems))] for i in range(len(elems))]
     assert perm_matrix(gr, gr.identity()) == ident
+    for e in elems:
+        assert gr.index(e) == elems.index(e)
+    for bad in (tuple(orders), (0,) * (len(orders) + 1), (-1,) + (0,) * (len(orders) - 1), [0] * len(orders)):
+        with pytest.raises(ElementNotInGroup):
+            gr.index(bad)
+        with pytest.raises(ElementNotInGroup):
+            fiber_action(gr, bad)
     for a in elems:
+        assert fiber_action(gr, a) == [elems.index(compose(gr, e, a)) for e in elems]
         pa = perm_matrix(gr, a)
         assert all(sum(row) == 1 for row in pa)
         assert all(sum(col) == 1 for col in zip(*pa))

@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 
@@ -157,6 +158,9 @@ def test_non_utf8_input_exits_2(demo, capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert [line[:7] for line in captured.err.splitlines()] == ["error: ", "error: "]
+    first, second = captured.err.splitlines()
+    assert str(graph) in first and str(sig) in second
+    assert str(demo["g_edges"]) not in second
 
 
 def test_shared_options_before_or_after_the_subcommand(demo, capsys):
@@ -224,6 +228,7 @@ def test_matrix_problems_detects_defects():
     assert any("asymmetric" in p for p in matrix_problems(bad))
     bad2 = [[1, 0], [0, 0]]
     assert any("diagonal" in p for p in matrix_problems(bad2))
+    assert matrix_problems([[0, 1], [1]]) == ["not square: 2 rows of lengths [1, 2]"]
 
 
 def test_verify_paper_expected_pass_set(capsys):
@@ -242,6 +247,55 @@ def test_verify_paper_expected_pass_set(capsys):
     assert main(["verify-paper"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 4
+
+
+@pytest.mark.parametrize(
+    "defect, problems",
+    [
+        ("asymmetric", ["asymmetric at (1,2)", "43 ones, expected 42"]),
+        ("short rows", ["not square: 18 rows of lengths [17]"]),
+    ],
+)
+def test_verify_paper_reports_a_malformed_transcription(defect, problems, capsys, monkeypatch):
+    matrix = [list(row) for row in fixtures.LIFT_MATRIX_G]
+    if defect == "asymmetric":
+        matrix[0][1] = 1  # (1,2) without (2,1)
+    else:
+        matrix = [row[:17] for row in matrix]
+    monkeypatch.setattr(fixtures, "LIFT_MATRIX_G", tuple(tuple(row) for row in matrix))
+    assert main(["verify-paper"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert [line.split()[1] for line in lines] == ["(1)", "(2)", "(3)", "(4)", "(5)", "(6)"]
+    fail = [line for line in lines if line.startswith("FAIL")]
+    assert len(fail) == 1 and fail[0].startswith("FAIL (2) ")
+    assert all(p in fail[0] for p in problems)
+    assert lines[3] == "INFO (4) constructed vs transcribed: not compared, the transcription is malformed"
+    assert sum(line.startswith("PASS") for line in lines) == 3
+
+
+# sha256 of the stdout of in-process runs at the commit that pinned them;
+# every later change must keep these bytes.
+PINNED_STDOUT = [
+    (["verify-paper"], "33d0cbcdd453eeee4c40056607c7feec99eacc9600ce024bc05c42b08d4b2778"),
+    (
+        ["search", "--fixture-pair", "--group", "Z2"],
+        "9cdbe9954b7a9dc3e0824c8dc3cb2c68e5f94968810e60812ec87778f085cda6",
+    ),
+    (
+        ["search", "--fixture-pair", "--group", "Z3"],
+        "288c441e89aac8e9a21a76025cfefff3a1711dc155365afbdeebac831d1a04f8",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_STDOUT, ids=[" ".join(a) for a, _ in PINNED_STDOUT])
+def test_stdout_is_pinned(argv, digest, capsys):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
 
 
 def test_cli_determinism_across_jobs():

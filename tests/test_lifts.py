@@ -3,7 +3,15 @@ import random
 import pytest
 
 from graphlifts import fixtures
-from graphlifts.algebra import AbelianGroup, ElementNotInGroup, SymmetricGroup, parse_element
+from graphlifts.algebra import (
+    AbelianGroup,
+    ElementNotInGroup,
+    SymmetricGroup,
+    compose,
+    fiber_action,
+    parse_element,
+    perm_matrix,
+)
 from graphlifts.graphs import degree_sequence, from_adjacency_matrix, from_edge_list
 from graphlifts.lifts import (
     BadGroupHeader,
@@ -150,6 +158,27 @@ def test_symmetric_voltage_lift_uses_natural_action():
     # fiber size is 3, not 6: vertices 1..3 over v1, 4..6 over v2
     assert lift.n == 6
     assert lift.edges == ((1, 5), (2, 6), (3, 4))
+    for gr in (s3, SymmetricGroup(4)):
+        k = gr.degree
+        elems = _elements(gr)
+        assert len(elems) == gr.order()
+        for g in elems:
+            # position a - 1 goes to g(a) - 1, and (1, a) is joined to (2, g(a))
+            assert fiber_action(gr, g) == [g[a] - 1 for a in range(k)]
+            lift = build_lift(k2, make_signature(k2, gr, {(1, 2): g}))
+            assert lift.edges == tuple(sorted((a, k + g[a - 1]) for a in range(1, k + 1)))
+            for h in elems[::5]:
+                # the action respects "apply g, then h"
+                gh = fiber_action(gr, compose(gr, g, h))
+                assert gh == [fiber_action(gr, h)[b] for b in fiber_action(gr, g)]
+                m = perm_matrix(gr, compose(gr, g, h))
+                assert m == _mat_mul(perm_matrix(gr, g), perm_matrix(gr, h))
+        with pytest.raises(ElementNotInGroup):
+            fiber_action(gr, tuple(range(k)))
+
+
+def _mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def test_fixture_lift_matches_transcription_exactly():
