@@ -83,7 +83,7 @@ class AbelianGroup:
 
     def index(self, e) -> int:
         """The position of e in elements(): its residues as mixed-radix digits."""
-        _require_member(self, e)
+        require_member(self, e)
         i = 0
         for a, k in zip(e, self.orders):
             i = i * k + a
@@ -123,22 +123,24 @@ class SymmetricGroup:
 GroupSpec = AbelianGroup | SymmetricGroup
 
 
-def _require_member(gr: GroupSpec, e) -> None:
+def require_member(gr: GroupSpec, e) -> None:
+    """The membership check of every group operation and of make_signature,
+    with its one error text."""
     if not gr.contains(e):
         raise ElementNotInGroup(f"{e!r} is not an element of {format_group(gr)}")
 
 
 def compose(gr: GroupSpec, a, b):
     """The group operation a*b (apply a, then b)."""
-    _require_member(gr, a)
-    _require_member(gr, b)
+    require_member(gr, a)
+    require_member(gr, b)
     if isinstance(gr, AbelianGroup):
         return tuple((x + y) % k for x, y, k in zip(a, b, gr.orders))
     return tuple(b[a[i] - 1] for i in range(gr.degree))
 
 
 def inverse(gr: GroupSpec, a):
-    _require_member(gr, a)
+    require_member(gr, a)
     if isinstance(gr, AbelianGroup):
         return tuple((-x) % k for x, k in zip(a, gr.orders))
     inv = [0] * gr.degree
@@ -151,7 +153,7 @@ def fiber_action(gr: GroupSpec, g) -> list[int]:
     """The 0-based image of each fibre position under the voltage g: the
     right regular action e -> e*g on elements() for an abelian group, the
     natural action a -> g(a) on {1..k} for S_k."""
-    _require_member(gr, g)
+    require_member(gr, g)
     if isinstance(gr, SymmetricGroup):
         return [b - 1 for b in g]
     images = [0]
@@ -230,7 +232,7 @@ def parse_element(gr: GroupSpec, text: str):
 
 
 def format_element(gr: GroupSpec, e) -> str:
-    _require_member(gr, e)
+    require_member(gr, e)
     if isinstance(gr, AbelianGroup):
         if len(gr.orders) == 1:
             return str(e[0])
@@ -426,7 +428,7 @@ class Character:
     index: tuple[int, ...]
 
     def root_exponent(self, e) -> int:
-        _require_member(self.group, e)
+        require_member(self.group, e)
         k_lcm = self.group.exponent()
         total = 0
         for j, a, k in zip(self.index, e, self.group.orders):

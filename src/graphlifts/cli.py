@@ -23,6 +23,7 @@ from .graphs import (
     Graph,
     GraphError,
     adjacency_matrix,
+    adjacency_matrix_problems,
     emit_edge_list,
     emit_graph6,
     from_adjacency_matrix,
@@ -30,7 +31,15 @@ from .graphs import (
     parse_graph6,
 )
 from .isomorphism import TooLarge, are_isomorphic
-from .lifts import Signature, SignatureError, build_lift, emit_signature, parse_signature
+from .lifts import (
+    Signature,
+    SignatureError,
+    build_lift,
+    constant_signature,
+    emit_signature,
+    make_signature,
+    parse_signature,
+)
 from .search import (
     BudgetExceeded,
     SearchOptions,
@@ -55,23 +64,14 @@ class FixtureSet:
 
 
 def matrix_problems(m) -> list[str]:
-    """Violations of the transcription invariants: square, symmetric 0/1,
-    zero diagonal, exactly 42 ones."""
-    problems = []
-    n = len(m)
-    if any(len(row) != n for row in m):
-        return [f"not square: {n} rows of lengths {sorted({len(row) for row in m})}"]
-    for i in range(n):
-        for j in range(n):
-            if m[i][j] not in (0, 1):
-                problems.append(f"entry ({i + 1},{j + 1}) is {m[i][j]}")
-            if m[i][j] != m[j][i]:
-                problems.append(f"asymmetric at ({i + 1},{j + 1})")
-        if m[i][i]:
-            problems.append(f"nonzero diagonal at {i + 1}")
-    ones = sum(sum(row) for row in m)
-    if ones != 42:
-        problems.append(f"{ones} ones, expected 42")
+    """Violations of the transcription invariants: the adjacency-matrix
+    rules of graphs.adjacency_matrix_problems and, for a square matrix,
+    exactly 42 ones."""
+    problems = adjacency_matrix_problems(m)
+    if all(len(row) == len(m) for row in m):
+        ones = sum(sum(row) for row in m)
+        if ones != 42:
+            problems.append(f"{ones} ones, expected 42")
     return problems
 
 
@@ -181,11 +181,8 @@ def _cmd_search(args) -> int:
             raise SystemExit2("search needs --base-g and --base-h, or --fixture-pair")
         g = load_graph(args.base_g)
         h = load_graph(args.base_h)
-    gr = parse_group(args.group)
-    if not isinstance(gr, AbelianGroup):
-        raise SystemExit2("search requires an abelian group")
     options = SearchOptions(filter_by_theorem=args.filter_by_theorem, budget=args.budget)
-    rows = iter_search(g, h, gr, options)
+    rows = iter_search(g, h, parse_group(args.group), options)
     sig_dir = args.emit_signatures
     if sig_dir:
         os.makedirs(sig_dir, exist_ok=True)
@@ -214,8 +211,6 @@ def _decomposition_subcases():
     bundled signatures via the corollary substitution."""
     z2 = AbelianGroup((2,))
     z3 = AbelianGroup((3,))
-    from .lifts import constant_signature, make_signature
-
     square_sig = make_signature(
         fixtures.SQUARE, z2, {e: (v,) for e, v in fixtures.SQUARE_VOLTAGES.items()}
     )

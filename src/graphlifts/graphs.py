@@ -76,24 +76,32 @@ def adjacency_matrix(g: Graph) -> list[list[int]]:
     return m
 
 
+def adjacency_matrix_problems(m) -> list[str]:
+    """Violations of the adjacency-matrix rules: square, 0/1 entries,
+    symmetric, zero diagonal. A matrix that is not square gets that one
+    problem only."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        return [f"not square: {n} rows of lengths {sorted({len(row) for row in m})}"]
+    problems = []
+    for i in range(n):
+        for j in range(n):
+            if m[i][j] not in (0, 1):
+                problems.append(f"entry ({i + 1},{j + 1}) is {m[i][j]}")
+            if m[i][j] != m[j][i]:
+                problems.append(f"asymmetric at ({i + 1},{j + 1})")
+        if m[i][i]:
+            problems.append(f"nonzero diagonal at {i + 1}")
+    return problems
+
+
 def from_adjacency_matrix(rows) -> Graph:
     """Build a Graph from a square symmetric 0/1 matrix with zero diagonal."""
+    problems = adjacency_matrix_problems(rows)
+    if problems:
+        raise GraphError("invalid adjacency matrix: " + "; ".join(problems))
     n = len(rows)
-    pairs = []
-    for i in range(n):
-        if len(rows[i]) != n:
-            raise GraphError(f"adjacency matrix row {i + 1} has length {len(rows[i])}, expected {n}")
-        for j in range(n):
-            v = rows[i][j]
-            if v not in (0, 1):
-                raise GraphError(f"adjacency entry ({i + 1},{j + 1}) is {v}, expected 0 or 1")
-            if i == j and v:
-                raise GraphError(f"adjacency diagonal entry ({i + 1},{i + 1}) is nonzero")
-            if j > i and rows[j][i] != v:
-                raise GraphError(f"adjacency matrix not symmetric at ({i + 1},{j + 1})")
-            if j > i and v:
-                pairs.append((i + 1, j + 1))
-    return from_edge_list(n, pairs)
+    return from_edge_list(n, [(i + 1, j + 1) for i in range(n) for j in range(i + 1, n) if rows[i][j]])
 
 
 def neighbor_lists(g: Graph) -> list[list[int]]:

@@ -72,9 +72,12 @@ def _refine(n: int, adj: list[list[int]], colors: list[int]) -> list[int]:
 
 
 def _individualize(n: int, adj: list[list[int]], colors: list[int], v: int) -> list[int]:
-    keyed = [(colors[u], 0 if u == v else 1) for u in range(n)]
-    rank = {p: i for i, p in enumerate(sorted(set(keyed)))}
-    return _refine(n, adj, [rank[p] for p in keyed])
+    """Split v off its class, ahead of the rest of it, and refine. The
+    colours are dense ranks (every _refine output is) and v's class has
+    other members, so v keeps its colour c, the rest of its class takes
+    c + 1 and every later colour moves up by one."""
+    c = colors[v]
+    return _refine(n, adj, [x + (x > c or (x == c and u != v)) for u, x in enumerate(colors)])
 
 
 def _prefix_bits(n: int, adj_sets: list[set[int]], colors: list[int]) -> tuple[int, ...]:

@@ -26,6 +26,7 @@ from .algebra import (
     format_group,
     parse_element,
     parse_group,
+    require_member,
 )
 from .graphs import Graph, from_edge_list
 
@@ -84,13 +85,13 @@ class Signature:
 
 def make_signature(base: Graph, group: GroupSpec, assignments: dict) -> Signature:
     """Validate and freeze a signature: every base edge exactly once, every
-    element in the group."""
+    element in the group. constant_signature and parse_signature end here,
+    so each rule has one error text."""
     edge_set = set(base.edges)
     for pair, elem in assignments.items():
         if tuple(pair) not in edge_set:
             raise UnknownEdge(f"pair {pair} is not an edge of the base graph")
-        if not group.contains(elem):
-            raise ElementNotInGroup(f"{elem!r} is not in {format_group(group)}")
+        require_member(group, elem)
     for edge in base.edges:
         if edge not in assignments:
             raise MissingEdge(f"edge {edge} has no assignment")
@@ -98,9 +99,8 @@ def make_signature(base: Graph, group: GroupSpec, assignments: dict) -> Signatur
 
 
 def constant_signature(base: Graph, group: GroupSpec, g) -> Signature:
-    if not group.contains(g):
-        raise ElementNotInGroup(f"{g!r} is not in {format_group(group)}")
-    return Signature(base, group, {e: g for e in base.edges})
+    require_member(group, g)  # checked even when the base has no edges
+    return make_signature(base, group, dict.fromkeys(base.edges, g))
 
 
 def parse_signature(text: str, base: Graph) -> Signature:
@@ -148,10 +148,7 @@ def parse_signature(text: str, base: Graph) -> Signature:
         assignments[(i, j)] = elem
     if group is None:
         raise BadGroupHeader("no 'group <spec>' header line found")
-    for edge in base.edges:
-        if edge not in assignments:
-            raise MissingEdge(f"edge {edge} of the base graph has no assignment line")
-    return Signature(base, group, assignments)
+    return make_signature(base, group, assignments)
 
 
 def emit_signature(s: Signature) -> str:

@@ -315,17 +315,20 @@ def iter_search(
     """Yield every pair of signatures on the two bases whose lifts are
     cospectral, in lexicographic (rank_g, rank_h) order, as it is found.
 
-    The arguments are checked before this returns. Each rank is mapped to its
-    switching class from the rank's digits. The charpoly and the canonical
-    form are computed once per class, on the class's normalised
-    representative, pairs are joined by exact charpoly equality, and the
-    fixture conditions are evaluated once per cospectral pair of classes.
-    Every vertex of a lift inherits the degree of its base vertex, so lifts
-    of bases with different degree sequences are never isomorphic; canonical
-    forms are computed only when the degree test cannot decide.
+    The arguments are checked before this returns. The rows come from two
+    steps. The join lists the pairs of switching classes that yield rows:
+    each class gets one charpoly, on its normalised representative, pairs
+    are joined by exact charpoly equality, and the fixture conditions are
+    evaluated once per cospectral pair. Every vertex of a lift inherits the
+    degree of its base vertex, so lifts of bases with different degree
+    sequences are never isomorphic; otherwise each class in a listed pair
+    gets one canonical form. The expansion groups the H ranks by class,
+    gives each G class one list of its (rank_h, conditions, non-isomorphic)
+    rows in rank_h order, and walks the G ranks in order, yielding the list
+    of each rank's class.
     """
     if not isinstance(gr, AbelianGroup):
-        raise NonAbelianSignature("search enumerates abelian signature spaces")
+        raise NonAbelianSignature("search requires an abelian group")
     if not cospectral(g, h):
         raise WrongBaseGraph("search requires cospectral base graphs")
     on_fixture = g == fixtures.BASE_G and h == fixtures.BASE_H
@@ -351,52 +354,42 @@ def _rows(g: Graph, h: Graph, gr: AbelianGroup, filter_by_theorem: bool, on_fixt
     polys_g = [tuple(charpoly(build_lift(g, s))) for s in reps_g]
     polys_h = [tuple(charpoly(build_lift(h, s))) for s in reps_h]
 
-    same_degrees = degree_sequence(g) == degree_sequence(h)
-    canon_g: dict[int, tuple] = {}
-    canon_h: dict[int, tuple] = {}
-
-    def canon_of(cache: dict, base: Graph, reps: list[Signature], cid: int) -> tuple:
-        if cid not in cache:
-            cache[cid] = canonical_form(build_lift(base, reps[cid])).edges
-        return cache[cid]
-
-    def rows_of(cg: int) -> list | None:
-        """(conditions, non-isomorphic) of G class cg with each H class, None
-        where the pair yields no rows; None if no pair does."""
-        out: list = [None] * classes_h.count
-        for ch in range(classes_h.count):
-            if polys_h[ch] != polys_g[cg]:
-                continue
+    # Join: every pair of classes that yields rows, with the conditions.
+    classes_h_by_poly: dict[tuple[int, ...], list[int]] = {}
+    for ch, poly in enumerate(polys_h):
+        classes_h_by_poly.setdefault(poly, []).append(ch)
+    pairs = []
+    for cg, poly in enumerate(polys_g):
+        for ch in classes_h_by_poly.get(poly, ()):
             cond = conditions_hold(reps_g[cg], reps_h[ch]) if on_fixture else None
-            if filter_by_theorem and not cond:
-                continue
-            if same_degrees:
-                non_iso = canon_of(canon_g, g, reps_g, cg) != canon_of(canon_h, h, reps_h, ch)
-            else:
-                non_iso = True
-            out[ch] = (cond, non_iso)
-        return out if any(out) else None
+            if cond or not filter_by_theorem:
+                pairs.append((cg, ch, cond))
+    form_g = form_h = None
+    if degree_sequence(g) == degree_sequence(h):
+        form_g = {c: canonical_form(build_lift(g, reps_g[c])).edges for c in {p[0] for p in pairs}}
+        form_h = {c: canonical_form(build_lift(h, reps_h[c])).edges for c in {p[1] for p in pairs}}
+    pairs = [(cg, ch, cond, form_g is None or form_g[cg] != form_h[ch]) for cg, ch, cond in pairs]
 
-    # Every class holds signatures, so every pair of classes listed here
-    # yields rows and each canonical form computed is used.
-    class_rows = [rows_of(cg) for cg in range(classes_g.count)]
-    class_of_h = classes_h.class_ids()
-    ranks_h_by_poly: dict[tuple[int, ...], list[int]] = {}
-    for rank_h, ch in enumerate(class_of_h):
-        ranks_h_by_poly.setdefault(polys_h[ch], []).append(rank_h)
-    sigs_h: list[Signature | None] = [None] * len(class_of_h)
-
+    # Expansion: each G class's rows, then every G rank in order. An H rank
+    # lies in one class, so one G class's rows have distinct rank_h and
+    # sorting them compares rank_h only.
+    ranks_h: list[list[int]] = [[] for _ in range(classes_h.count)]
+    for rank_h, ch in enumerate(classes_h.class_ids()):
+        ranks_h[ch].append(rank_h)
+    rows_of_class: dict[int, list] = {}
+    for cg, ch, cond, non_iso in pairs:
+        rows_of_class.setdefault(cg, []).extend((rank_h, cond, non_iso) for rank_h in ranks_h[ch])
+    for rows in rows_of_class.values():
+        rows.sort()
+    sigs_h: list[Signature | None] = [None] * signature_count(h, gr)
     for rank_g, cg in enumerate(classes_g.class_ids()):
-        rows = class_rows[cg]
+        rows = rows_of_class.get(cg)
         if rows is None:
             continue
         poly = polys_g[cg]
         sig_g = signature_from_rank(g, gr, rank_g)
-        for rank_h in ranks_h_by_poly[poly]:
-            row = rows[class_of_h[rank_h]]
-            if row is None:
-                continue
+        for rank_h, cond, non_iso in rows:
             sig_h = sigs_h[rank_h]
             if sig_h is None:
                 sig_h = sigs_h[rank_h] = signature_from_rank(h, gr, rank_h)
-            yield SearchResult(rank_g, rank_h, sig_g, sig_h, poly, *row)
+            yield SearchResult(rank_g, rank_h, sig_g, sig_h, poly, cond, non_iso)

@@ -7,6 +7,7 @@ import pytest
 from graphlifts import cli, fixtures
 from graphlifts.cli import fixture_set, load_graph, main, matrix_problems, run_bundled_checks
 from graphlifts.graphs import emit_edge_list, emit_graph6, from_edge_list, parse_graph6
+from graphlifts.isomorphism import relabeled
 from graphlifts.lifts import emit_signature
 
 
@@ -140,7 +141,9 @@ def test_usage_and_input_errors(demo, capsys, tmp_path):
     bad.write_text("garbage\x01\n")
     assert main(["charpoly", str(bad)]) == 2
     assert main(["search", "--group", "Z2"]) == 2
+    capsys.readouterr()
     assert main(["search", "--fixture-pair", "--group", "S3"]) == 2
+    assert capsys.readouterr().err == "error: search requires an abelian group\n"
     assert main(["search", "--fixture-pair", "--group", "Z3", "--budget", "10"]) == 2
     p4 = tmp_path / "p4.edges"
     p4.write_text(emit_edge_list(from_edge_list(4, [(1, 2), (2, 3), (3, 4)])))
@@ -275,8 +278,13 @@ def test_verify_paper_reports_a_malformed_transcription(defect, problems, capsys
     assert sum(line.startswith("PASS") for line in lines) == 3
 
 
+# K4 minus an edge against a relabeling of itself: equal degree sequences,
+# so canonical forms decide the last column of search.
+K4_MINUS_EDGE = from_edge_list(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
+
 # sha256 of the stdout of in-process runs at the commit that pinned them;
-# every later change must keep these bytes.
+# every later change must keep these bytes. Relative paths name the files
+# that test_stdout_is_pinned writes.
 PINNED_STDOUT = [
     (["verify-paper"], "33d0cbcdd453eeee4c40056607c7feec99eacc9600ce024bc05c42b08d4b2778"),
     (
@@ -287,11 +295,22 @@ PINNED_STDOUT = [
         ["search", "--fixture-pair", "--group", "Z3"],
         "288c441e89aac8e9a21a76025cfefff3a1711dc155365afbdeebac831d1a04f8",
     ),
+    (
+        ["search", "--fixture-pair", "--group", "Z2", "--filter-by-theorem"],
+        "9cdbe9954b7a9dc3e0824c8dc3cb2c68e5f94968810e60812ec87778f085cda6",
+    ),
+    (
+        ["search", "--base-g", "k4e.edges", "--base-h", "k4e-relabeled.edges", "--group", "Z3"],
+        "105f3d8794c5a800ee1949328924532da2e743d2939e980528a05838045e464d",
+    ),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", PINNED_STDOUT, ids=[" ".join(a) for a, _ in PINNED_STDOUT])
-def test_stdout_is_pinned(argv, digest, capsys):
+def test_stdout_is_pinned(argv, digest, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "k4e.edges").write_text(emit_edge_list(K4_MINUS_EDGE))
+    (tmp_path / "k4e-relabeled.edges").write_text(emit_edge_list(relabeled(K4_MINUS_EDGE, (3, 1, 4, 2))))
     assert main(argv) == 0
     captured = capsys.readouterr()
     assert captured.err == ""

@@ -1,13 +1,17 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphlifts.graphs import (
     Graph,
+    GraphError,
     LoopEdge,
     MalformedEdgeList,
     MalformedGraph6,
     OutOfRange,
     adjacency_matrix,
+    adjacency_matrix_problems,
     degree_sequence,
     emit_edge_list,
     emit_graph6,
@@ -70,6 +74,20 @@ def test_from_adjacency_matrix_validation():
         from_adjacency_matrix([[1, 0], [0, 0]])  # diagonal
     with pytest.raises(Exception):
         from_adjacency_matrix([[0, 2], [2, 0]])  # non-binary
+
+
+def test_from_adjacency_matrix_raises_with_the_listed_problems():
+    cases = [
+        ([[0, 1], [0, 0]], ["asymmetric at (1,2)", "asymmetric at (2,1)"]),
+        ([[1, 0], [0, 0]], ["nonzero diagonal at 1"]),
+        ([[0, 2], [2, 0]], ["entry (1,2) is 2", "entry (2,1) is 2"]),
+        ([[0, 1], [1]], ["not square: 2 rows of lengths [1, 2]"]),
+    ]
+    for m, problems in cases:
+        assert adjacency_matrix_problems(m) == problems
+        with pytest.raises(GraphError, match=re.escape("; ".join(problems))):
+            from_adjacency_matrix(m)
+    assert adjacency_matrix_problems(adjacency_matrix(from_edge_list(3, [(1, 2), (2, 3)]))) == []
 
 
 def test_neighbor_lists_and_degrees():

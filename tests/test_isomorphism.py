@@ -310,6 +310,36 @@ def test_are_isomorphic_agrees_with_networkx_on_lifts(seed):
     assert not all(verdicts[1::2])
 
 
+def _individualize_by_ranking(n, adj, colors, v):
+    """Split v off its class by ranking the (colour, is-not-v) pairs, then
+    refine: the ranking that _individualize computes without a sort."""
+    keyed = [(colors[u], 0 if u == v else 1) for u in range(n)]
+    rank = {p: i for i, p in enumerate(sorted(set(keyed)))}
+    return isomorphism._refine(n, adj, [rank[p] for p in keyed])
+
+
+def test_individualize_equals_ranking_the_split_pairs():
+    # Every colouring here is a _refine output, as in the search: the refined
+    # all-zero start, then one individualization after another down a random
+    # path, checking each member of each class of more than one vertex.
+    rng = random.Random(9)
+    checked = 0
+    for k in range(150):
+        g = _random_cubic(12, rng) if k % 3 == 0 else random_graph(rng, n_lo=2, n_hi=12)
+        n, adj = g.n, neighbor_lists(g)
+        colors = isomorphism._refine(n, adj, [0] * n)
+        while True:
+            split = [v for v in range(n) if colors.count(colors[v]) > 1]
+            if not split:
+                break
+            for v in split:
+                expected = _individualize_by_ranking(n, adj, colors, v)
+                assert isomorphism._individualize(n, adj, colors, v) == expected
+                checked += 1
+            colors = isomorphism._individualize(n, adj, colors, rng.choice(split))
+    assert checked > 1000
+
+
 def test_symmetric_graphs_finish_within_the_stated_bound():
     """K11 minus two disjoint edges, the hypercube Q5, the cycle C64 and the
     60-vertex lift of H over Z10 whose only non-identity voltage is 1 on

@@ -9,6 +9,7 @@ from graphlifts.algebra import (
     SymmetricGroup,
     compose,
     fiber_action,
+    inverse,
     parse_element,
     perm_matrix,
 )
@@ -49,6 +50,28 @@ def test_make_signature_validates_domain():
         make_signature(P3, Z2, {(1, 2): (0,), (2, 3): (0,), (1, 3): (0,)})
     with pytest.raises(ElementNotInGroup):
         make_signature(P3, Z2, {(1, 2): (0,), (2, 3): (2,)})
+
+
+def test_each_signature_rule_has_one_message_through_every_entry_point():
+    k2 = from_edge_list(2, [(1, 2)])
+    for call in (
+        lambda: make_signature(k2, Z2, {(1, 2): (2,)}),
+        lambda: constant_signature(k2, Z2, (2,)),
+        lambda: build_constant_lift(k2, Z2, (2,)),
+        lambda: compose(Z2, (2,), (0,)),
+        lambda: inverse(Z2, (2,)),
+        lambda: fiber_action(Z2, (2,)),
+    ):
+        with pytest.raises(ElementNotInGroup) as exc:
+            call()
+        assert str(exc.value) == "(2,) is not an element of Z2"
+    for call in (
+        lambda: make_signature(P3, Z2, {(1, 2): (0,)}),
+        lambda: parse_signature("group Z2\n1 2 : 0\n", P3),
+    ):
+        with pytest.raises(MissingEdge) as exc:
+            call()
+        assert str(exc.value) == "edge (2, 3) has no assignment"
 
 
 def test_signature_get_orients_edges():

@@ -1,3 +1,4 @@
+import importlib
 import random
 from collections import Counter
 from itertools import takewhile
@@ -478,3 +479,30 @@ def test_search_equals_brute_force_oracle_with_equal_degree_sequences_z3():
     found = search(g, h, Z3)
     assert found
     assert _fields(found) == _oracle_search(g, h, Z3)
+
+
+def test_search_computes_one_canonical_form_per_paired_class(monkeypatch):
+    # graphlifts.search is also the name of the search function, so the
+    # module is looked up by its full name
+    module = importlib.import_module("graphlifts.search")
+    calls = []
+
+    def counting(graph):
+        calls.append(graph)
+        return canonical_form(graph)
+
+    monkeypatch.setattr(module, "canonical_form", counting)
+    g = from_edge_list(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
+    h = relabeled(g, (3, 1, 4, 2))
+    classes_g, classes_h = SwitchingClasses(g, Z3), SwitchingClasses(h, Z3)
+    rows = search(g, h, Z3)
+    paired_g = {classes_g.class_of(r.sig_g) for r in rows}
+    paired_h = {classes_h.class_of(r.sig_h) for r in rows}
+    expected = [build_lift(g, classes_g.representative(c)) for c in paired_g]
+    expected += [build_lift(h, classes_h.representative(c)) for c in paired_h]
+    assert len(calls) == len(paired_g) + len(paired_h)
+    assert Counter(calls) == Counter(expected)
+    # the bundled bases have different degree sequences: no canonical form
+    calls.clear()
+    assert search(fixtures.BASE_G, fixtures.BASE_H, Z2)
+    assert calls == []
