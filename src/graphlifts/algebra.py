@@ -149,6 +149,18 @@ def inverse(gr: GroupSpec, a):
     return tuple(inv)
 
 
+def power_product(gr: AbelianGroup, factors) -> tuple[int, ...]:
+    """The product of e**n over the (e, n) factors, in an abelian group: the
+    residue vectors summed with their integer exponents. Each e is checked
+    once, where a fold through compose and inverse checks it at every step."""
+    total = [0] * len(gr.orders)
+    for e, n in factors:
+        require_member(gr, e)
+        for i, a in enumerate(e):
+            total[i] += n * a
+    return tuple(t % k for t, k in zip(total, gr.orders))
+
+
 def fiber_action(gr: GroupSpec, g) -> list[int]:
     """The 0-based image of each fibre position under the voltage g: the
     right regular action e -> e*g on elements() for an abelian group, the
@@ -192,7 +204,9 @@ def format_group(gr: GroupSpec) -> str:
 
 def parse_element(gr: GroupSpec, text: str):
     """Parse element text: residue tuple or bare residue for abelian groups,
-    disjoint cycles or 'id' for symmetric groups. Whitespace-insensitive."""
+    disjoint cycles or 'id' for symmetric groups. Whitespace-insensitive.
+    Every error is BadElementText; a residue vector outside the group gets
+    require_member's text."""
     t = re.sub(r"\s+", "", text)
     if isinstance(gr, AbelianGroup):
         if re.fullmatch(r"-?\d+", t):
@@ -205,10 +219,10 @@ def parse_element(gr: GroupSpec, text: str):
                 raise BadElementText(f"cannot parse abelian element {text!r}")
             vals = [int(p) for p in m.group(1).split(",")]
         e = tuple(vals)
-        if not gr.contains(e):
-            raise BadElementText(
-                f"element {text!r} is not a valid residue vector for {format_group(gr)}"
-            )
+        try:
+            require_member(gr, e)
+        except ElementNotInGroup as exc:
+            raise BadElementText(str(exc)) from None
         return e
     if t == "id":
         return gr.identity()

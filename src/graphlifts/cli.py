@@ -45,7 +45,8 @@ from .search import (
     SearchOptions,
     WrongBaseGraph,
     corollary_generate,
-    iter_search,
+    rank_blocks,
+    signature_from_rank,
 )
 from .spectra import charpoly, cospectral, verify_decomposition
 
@@ -174,6 +175,10 @@ def _cmd_verify_mota(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    """Write the rows of search.rank_blocks, one line per signature pair. A
+    G class's row tails ("rank_h charpoly conditions non-isomorphic") are
+    formatted on its first rank, and each G rank's rows are written as one
+    block: the rank, then each tail prefixed by the rank after the first."""
     if args.fixture_pair:
         g, h = fixtures.BASE_G, fixtures.BASE_H
     else:
@@ -181,28 +186,41 @@ def _cmd_search(args) -> int:
             raise SystemExit2("search needs --base-g and --base-h, or --fixture-pair")
         g = load_graph(args.base_g)
         h = load_graph(args.base_h)
+    gr = parse_group(args.group)
     options = SearchOptions(filter_by_theorem=args.filter_by_theorem, budget=args.budget)
-    rows = iter_search(g, h, parse_group(args.group), options)
+    blocks = rank_blocks(g, h, gr, options)
     sig_dir = args.emit_signatures
     if sig_dir:
         os.makedirs(sig_dir, exist_ok=True)
     poly_texts: dict[tuple[int, ...], str] = {}
-    emitted = {"g": set(), "h": set()}
+    tails_of_class: dict[int, list[str]] = {}
+    emitted_h: set[int] = set()
     out = sys.stdout
-    for res in rows:
-        text = poly_texts.get(res.charpoly)
-        if text is None:
-            text = poly_texts[res.charpoly] = poly_text(list(res.charpoly))
-        cond = "-" if res.conditions_satisfied is None else str(int(res.conditions_satisfied))
-        out.write(f"{res.rank_g} {res.rank_h} {text} {cond} {int(res.non_isomorphic)}\n")
+    for rank_g, cg, poly, rows in blocks:
+        tails = tails_of_class.get(cg)
+        if tails is None:
+            text = poly_texts.get(poly)
+            if text is None:
+                text = poly_texts[poly] = poly_text(list(poly))
+            tails = tails_of_class[cg] = [
+                f"{rank_h} {text} {'-' if cond is None else int(cond)} {int(non_iso)}\n"
+                for rank_h, cond, non_iso in rows
+            ]
+        prefix = f"{rank_g} "
+        out.write(prefix + prefix.join(tails))
         if sig_dir:
-            for side, rank, sig in (("g", res.rank_g, res.sig_g), ("h", res.rank_h, res.sig_h)):
-                if rank not in emitted[side]:
-                    emitted[side].add(rank)
-                    path = os.path.join(sig_dir, f"{side}-{rank}.sig")
-                    with open(path, "w", encoding="utf-8") as fh:
-                        fh.write(emit_signature(sig))
+            _write_signature(sig_dir, "g", rank_g, g, gr)
+            for rank_h, _, _ in rows:
+                if rank_h not in emitted_h:
+                    emitted_h.add(rank_h)
+                    _write_signature(sig_dir, "h", rank_h, h, gr)
     return 0
+
+
+def _write_signature(sig_dir: str, side: str, rank: int, base: Graph, gr: AbelianGroup) -> None:
+    path = os.path.join(sig_dir, f"{side}-{rank}.sig")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(emit_signature(signature_from_rank(base, gr, rank)))
 
 
 def _decomposition_subcases():

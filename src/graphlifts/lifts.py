@@ -19,7 +19,6 @@ from .algebra import (
     AbelianGroup,
     BadElementText,
     BadGroupSpec,
-    ElementNotInGroup,
     GroupSpec,
     fiber_action,
     format_element,
@@ -143,7 +142,7 @@ def parse_signature(text: str, base: Graph) -> Signature:
             raise DuplicateEdge(f"line {lineno}: edge ({i},{j}) assigned twice")
         try:
             elem = parse_element(group, right.strip())
-        except (BadElementText, ElementNotInGroup) as exc:
+        except BadElementText as exc:
             raise BadElement(f"line {lineno}: {exc}") from None
         assignments[(i, j)] = elem
     if group is None:

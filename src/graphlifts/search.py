@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from . import fixtures
-from .algebra import AbelianGroup, GroupSpec, compose, fiber_action, inverse
+from .algebra import AbelianGroup, GroupSpec, compose, fiber_action, inverse, power_product
 from .graphs import Graph, degree_sequence, neighbor_lists
 from .isomorphism import canonical_form
 from .lifts import NonAbelianSignature, Signature, build_lift, make_signature
@@ -53,15 +53,11 @@ GAMMA_CYCLE = (1, 2, 3)
 
 
 def net_voltage(s: Signature, walk: tuple[int, ...]):
-    """Product of the voltages met along the closed walk w0 -> w1 -> ... -> w0;
-    an edge traversed against its stored orientation (i < j) contributes its
-    inverse."""
-    gr = s.group
-    acc = gr.identity()
-    for a, b in zip(walk, walk[1:] + walk[:1]):
-        g = s.get(a, b)
-        acc = compose(gr, acc, g if a < b else inverse(gr, g))
-    return acc
+    """Product of the voltages met along the closed walk w0 -> w1 -> ... -> w0
+    of an abelian signature; an edge traversed against its stored orientation
+    (i < j) contributes its inverse."""
+    steps = zip(walk, walk[1:] + walk[:1])
+    return power_product(s.group, ((s.get(a, b), 1 if a < b else -1) for a, b in steps))
 
 
 def _require_abelian(s: Signature) -> None:
@@ -315,17 +311,41 @@ def iter_search(
     """Yield every pair of signatures on the two bases whose lifts are
     cospectral, in lexicographic (rank_g, rank_h) order, as it is found.
 
-    The arguments are checked before this returns. The rows come from two
-    steps. The join lists the pairs of switching classes that yield rows:
-    each class gets one charpoly, on its normalised representative, pairs
-    are joined by exact charpoly equality, and the fixture conditions are
-    evaluated once per cospectral pair. Every vertex of a lift inherits the
-    degree of its base vertex, so lifts of bases with different degree
-    sequences are never isomorphic; otherwise each class in a listed pair
-    gets one canonical form. The expansion groups the H ranks by class,
-    gives each G class one list of its (rank_h, conditions, non-isomorphic)
-    rows in rank_h order, and walks the G ranks in order, yielding the list
-    of each rank's class.
+    The arguments are checked before this returns. The rows are those of
+    rank_blocks, one class join, expanded to one SearchResult each; H
+    signatures are built on their first row.
+    """
+    return _results(g, h, gr, rank_blocks(g, h, gr, options))
+
+
+def _results(g: Graph, h: Graph, gr: AbelianGroup, blocks) -> Iterator[SearchResult]:
+    sigs_h: list[Signature | None] = [None] * signature_count(h, gr)
+    for rank_g, _, poly, rows in blocks:
+        sig_g = signature_from_rank(g, gr, rank_g)
+        for rank_h, cond, non_iso in rows:
+            sig_h = sigs_h[rank_h]
+            if sig_h is None:
+                sig_h = sigs_h[rank_h] = signature_from_rank(h, gr, rank_h)
+            yield SearchResult(rank_g, rank_h, sig_g, sig_h, poly, cond, non_iso)
+
+
+def rank_blocks(
+    g: Graph, h: Graph, gr: AbelianGroup, options: SearchOptions = SearchOptions()
+) -> Iterator[tuple[int, int, tuple[int, ...], list[tuple[int, bool | None, bool]]]]:
+    """Yield the rows of iter_search grouped by G rank, without building a
+    signature: (rank_g, class_g, charpoly, rows) for each G rank that has
+    rows, in rank_g order, where rows is the G class's one shared list of
+    (rank_h, conditions, non-isomorphic) in rank_h order.
+
+    The arguments are checked before this returns. The join lists the
+    pairs of switching classes that yield rows: each class gets one
+    charpoly, on its normalised representative, pairs are joined by exact
+    charpoly equality, and the fixture conditions are evaluated once per
+    cospectral pair. Every vertex of a lift inherits the degree of its base
+    vertex, so lifts of bases with different degree sequences are never
+    isomorphic; otherwise each class in a listed pair gets one canonical
+    form. The expansion groups the H ranks by class, gives each G class one
+    list of rows, and walks the G ranks in order.
     """
     if not isinstance(gr, AbelianGroup):
         raise NonAbelianSignature("search requires an abelian group")
@@ -343,10 +363,10 @@ def iter_search(
             f"{total_g} signatures on the G side and {total_h} on the H side; "
             f"the budget is {options.budget} per side"
         )
-    return _rows(g, h, gr, options.filter_by_theorem, on_fixture)
+    return _blocks(g, h, gr, options.filter_by_theorem, on_fixture)
 
 
-def _rows(g: Graph, h: Graph, gr: AbelianGroup, filter_by_theorem: bool, on_fixture: bool):
+def _blocks(g: Graph, h: Graph, gr: AbelianGroup, filter_by_theorem: bool, on_fixture: bool):
     classes_g = SwitchingClasses(g, gr)
     classes_h = SwitchingClasses(h, gr)
     reps_g = [classes_g.representative(c) for c in range(classes_g.count)]
@@ -381,15 +401,7 @@ def _rows(g: Graph, h: Graph, gr: AbelianGroup, filter_by_theorem: bool, on_fixt
         rows_of_class.setdefault(cg, []).extend((rank_h, cond, non_iso) for rank_h in ranks_h[ch])
     for rows in rows_of_class.values():
         rows.sort()
-    sigs_h: list[Signature | None] = [None] * signature_count(h, gr)
     for rank_g, cg in enumerate(classes_g.class_ids()):
         rows = rows_of_class.get(cg)
-        if rows is None:
-            continue
-        poly = polys_g[cg]
-        sig_g = signature_from_rank(g, gr, rank_g)
-        for rank_h, cond, non_iso in rows:
-            sig_h = sigs_h[rank_h]
-            if sig_h is None:
-                sig_h = sigs_h[rank_h] = signature_from_rank(h, gr, rank_h)
-            yield SearchResult(rank_g, rank_h, sig_g, sig_h, poly, cond, non_iso)
+        if rows is not None:
+            yield rank_g, cg, polys_g[cg], rows

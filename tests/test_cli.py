@@ -1,6 +1,9 @@
 import hashlib
+import importlib
+import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -315,6 +318,72 @@ def test_stdout_is_pinned(argv, digest, capsys, tmp_path, monkeypatch):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
+# sha256 over the files that --emit-signatures writes, each hashed as
+# "name\ncontents" in sorted name order, at the commit that pinned them.
+PINNED_SIGNATURE_FILES = [
+    (["--group", "Z2", "--filter-by-theorem"], 128, "cbb1947ce03be9d44a6b4cc3dfd6d878e2f6ff21748203899c065de04a28e9e4"),
+    (["--group", "Z3"], 1944, "a411962bf36c501751f06ed4bfcefee62a06f745f21ab258c5a1a3810fe93b26"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, count, digest", PINNED_SIGNATURE_FILES, ids=[" ".join(a) for a, _, _ in PINNED_SIGNATURE_FILES]
+)
+def test_emitted_signature_files_are_pinned(args, count, digest, tmp_path, monkeypatch):
+    outdir = tmp_path / "sigs"
+    with open(os.devnull, "w", encoding="utf-8") as null:
+        monkeypatch.setattr(sys, "stdout", null)
+        assert main(["search", "--fixture-pair", *args, "--emit-signatures", str(outdir)]) == 0
+    names = sorted(p.name for p in outdir.iterdir())
+    assert len(names) == count
+    sha = hashlib.sha256()
+    for name in names:
+        sha.update(f"{name}\n{(outdir / name).read_text(encoding='utf-8')}".encode())
+    assert sha.hexdigest() == digest
+
+
+def test_search_command_builds_signatures_only_for_emitted_files(tmp_path, monkeypatch):
+    # graphlifts.search is also the name of the search function, so the
+    # module is looked up by its full name
+    module = importlib.import_module("graphlifts.search")
+    made = Counter()
+
+    def counting(name, original):
+        def wrapper(*args):
+            made[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(module, "SearchResult", counting("result", module.SearchResult))
+    sig_from_rank = counting("signature", module.signature_from_rank)
+    monkeypatch.setattr(module, "signature_from_rank", sig_from_rank)
+    monkeypatch.setattr(cli, "signature_from_rank", sig_from_rank)
+    with open(os.devnull, "w", encoding="utf-8") as null:
+        monkeypatch.setattr(sys, "stdout", null)
+        assert main(["search", "--fixture-pair", "--group", "Z3"]) == 0
+        assert made == Counter()
+        outdir = tmp_path / "sigs"
+        argv = ["search", "--fixture-pair", "--group", "Z2", "--emit-signatures", str(outdir)]
+        assert main(argv) == 0
+    # one signature per file written, and still no SearchResult
+    assert made == Counter(signature=128)
+
+
+def test_search_exits_0_when_the_reader_closes_the_pipe():
+    cmd = [sys.executable, "-m", "graphlifts.cli", "search", "--fixture-pair", "--group", "Z3"]
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert first.startswith(b"0 0 [")
+    assert (proc.returncode, err) == (0, b"")
 
 
 def test_cli_determinism_across_jobs():

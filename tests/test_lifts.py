@@ -5,6 +5,7 @@ import pytest
 from graphlifts import fixtures
 from graphlifts.algebra import (
     AbelianGroup,
+    BadElementText,
     ElementNotInGroup,
     SymmetricGroup,
     compose,
@@ -12,9 +13,11 @@ from graphlifts.algebra import (
     inverse,
     parse_element,
     perm_matrix,
+    power_product,
 )
 from graphlifts.graphs import degree_sequence, from_adjacency_matrix, from_edge_list
 from graphlifts.lifts import (
+    BadElement,
     BadGroupHeader,
     DuplicateEdge,
     InvalidSignature,
@@ -61,10 +64,18 @@ def test_each_signature_rule_has_one_message_through_every_entry_point():
         lambda: compose(Z2, (2,), (0,)),
         lambda: inverse(Z2, (2,)),
         lambda: fiber_action(Z2, (2,)),
+        lambda: power_product(Z2, [((0,), 1), ((2,), -1)]),
     ):
         with pytest.raises(ElementNotInGroup) as exc:
             call()
         assert str(exc.value) == "(2,) is not an element of Z2"
+    # a signature file adds the line number, and parse_element says the same
+    with pytest.raises(BadElement) as exc:
+        parse_signature("group Z2\n1 2 : 2\n", k2)
+    assert str(exc.value) == "line 2: (2,) is not an element of Z2"
+    with pytest.raises(BadElementText) as exc:
+        parse_element(Z2, "(2)")
+    assert str(exc.value) == "(2,) is not an element of Z2"
     for call in (
         lambda: make_signature(P3, Z2, {(1, 2): (0,)}),
         lambda: parse_signature("group Z2\n1 2 : 0\n", P3),

@@ -1,7 +1,7 @@
 import importlib
 import random
 from collections import Counter
-from itertools import takewhile
+from itertools import takewhile, zip_longest
 
 import pytest
 
@@ -13,6 +13,7 @@ from graphlifts.algebra import (
     compose,
     cyclo_int,
     inverse,
+    power_product,
 )
 from graphlifts.graphs import degree_sequence, from_edge_list
 from graphlifts.isomorphism import are_isomorphic, canonical_form, relabeled
@@ -29,6 +30,7 @@ from graphlifts.search import (
     corollary_generate,
     iter_search,
     net_voltage,
+    rank_blocks,
     rank_of_signature,
     search,
     signature_count,
@@ -218,6 +220,34 @@ def test_multiset_reformulation_randomized(orders):
         )
         assert _char_sums_equal(gr, alpha, beta, gamma)
         assert _multisets_equal(gr, alpha, beta, gamma)
+
+
+def _fold(gr, factors):
+    """The product of e**n over (e, n) factors, one compose at a time."""
+    acc = gr.identity()
+    for e, n in factors:
+        step = e if n > 0 else inverse(gr, e)
+        for _ in range(abs(n)):
+            acc = compose(gr, acc, step)
+    return acc
+
+
+@pytest.mark.parametrize("orders", [(2, 2), (3,), (12,)], ids=["Z2xZ2", "Z3", "Z12"])
+def test_net_voltage_equals_a_fold_through_compose(orders):
+    gr = AbelianGroup(orders)
+    rng = random.Random(sum(orders))
+    cycles = ((fixtures.BASE_G, (2, 4, 5, 3)), (fixtures.BASE_G, (2, 3, 4)),
+              (fixtures.BASE_H, (3, 5, 6)), (fixtures.BASE_H, (1, 2, 3)))
+    for _ in range(200):
+        sig_g = signature_from_rank(fixtures.BASE_G, gr, rng.randrange(signature_count(fixtures.BASE_G, gr)))
+        sig_h = signature_from_rank(fixtures.BASE_H, gr, rng.randrange(signature_count(fixtures.BASE_H, gr)))
+        for base, walk in cycles:
+            sig = sig_g if base == fixtures.BASE_G else sig_h
+            steps = zip(walk, walk[1:] + walk[:1])
+            expected = _fold(gr, [(sig.get(a, b), 1 if a < b else -1) for a, b in steps])
+            assert net_voltage(sig, walk) == expected
+        factors = [(rng.choice(gr.elements()), rng.randint(-3, 3)) for _ in range(rng.randint(0, 5))]
+        assert power_product(gr, factors) == _fold(gr, factors)
 
 
 # --- corollary generator ----------------------------------------------------
@@ -479,6 +509,42 @@ def test_search_equals_brute_force_oracle_with_equal_degree_sequences_z3():
     found = search(g, h, Z3)
     assert found
     assert _fields(found) == _oracle_search(g, h, Z3)
+
+
+def _expand(g, h, gr, options):
+    """The rows of rank_blocks as (rank_g, rank_h, charpoly, conditions,
+    non-isomorphic), checking each block's G class on the way."""
+    class_ids = SwitchingClasses(g, gr).class_ids()
+    for rank_g, class_g, poly, rows in rank_blocks(g, h, gr, options):
+        assert class_g == class_ids[rank_g]
+        for rank_h, cond, non_iso in rows:
+            yield rank_g, rank_h, poly, cond, non_iso
+
+
+def _assert_blocks_expand_to_search(g, h, gr, options=SearchOptions()):
+    sigs_g, sigs_h = {}, {}
+    count = 0
+    for row, r in zip_longest(_expand(g, h, gr, options), iter_search(g, h, gr, options)):
+        assert row == (r.rank_g, r.rank_h, r.charpoly, r.conditions_satisfied, r.non_isomorphic)
+        # each signature object is compared once; rows may share one
+        for sigs, base, rank, sig in ((sigs_g, g, r.rank_g, r.sig_g), (sigs_h, h, r.rank_h, r.sig_h)):
+            if sigs.get(rank) is not sig:
+                assert sig == signature_from_rank(base, gr, rank)
+                sigs[rank] = sig
+        count += 1
+    assert count
+
+
+@pytest.mark.parametrize("filter_by_theorem", [False, True])
+@pytest.mark.parametrize("gr", [Z2, Z3], ids=["Z2", "Z3"])
+def test_rank_blocks_expand_to_the_rows_of_search(gr, filter_by_theorem):
+    options = SearchOptions(filter_by_theorem=filter_by_theorem)
+    _assert_blocks_expand_to_search(fixtures.BASE_G, fixtures.BASE_H, gr, options)
+
+
+def test_rank_blocks_expand_to_the_rows_of_search_with_canonical_forms():
+    g = from_edge_list(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
+    _assert_blocks_expand_to_search(g, relabeled(g, (3, 1, 4, 2)), Z3)
 
 
 def test_search_computes_one_canonical_form_per_paired_class(monkeypatch):
