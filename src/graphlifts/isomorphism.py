@@ -1,15 +1,20 @@
 """Exact isomorphism testing via canonical forms for small graphs.
 
 The canonical form is found by iterated color refinement plus backtracking
-over color-class orderings. Colors are ranked by invariant profiles (never by
-first-seen order), so the refinement itself is relabeling-invariant. The
-backtracking individualizes one vertex of the first non-singleton class at a
-time and keeps the lexicographically smallest adjacency bit-string over all
-discrete labelings reached, reading the upper triangle in column-major order
-so that a prefix of placed vertices determines a prefix of the string. Ties
-inside a class are explored smallest-partial-string first, and branches whose
-partial string already exceeds the best known are pruned. Each node's partial
-string is computed once, when its parent sorts its children; at a leaf every
+over color-class orderings. Each round of refinement splits a class by its
+members' sorted neighbour labels, the pieces in profile order (never in
+first-seen order), so the refinement itself is relabeling-invariant. A class
+is labelled by its last position in the ordered partition, which it keeps
+while it does not split, so a round re-profiles only the vertices next to
+one whose label moved in the round before. The backtracking individualizes
+one vertex of the first non-singleton class at a time and keeps the
+lexicographically smallest adjacency bit-string over all discrete labelings
+reached, reading the upper triangle in column-major order so that a prefix
+of placed vertices determines a prefix of the string. Ties inside a class
+are explored smallest-partial-string first, and branches whose partial
+string already exceeds the best known are pruned. Each node's partial string
+is computed once, when its parent sorts its children, by extending the
+parent's with the columns of the newly placed vertices; at a leaf every
 vertex is placed and the partial string is the whole string.
 
 Two leaves with equal strings give an automorphism: the permutation that
@@ -36,10 +41,11 @@ out of the factorial worst case. Graphs above the vertex ceiling are refused.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 from .graphs import Graph, degree_sequence, from_edge_list, neighbor_lists
 
-SIZE_CEILING = 64
+SIZE_CEILING = 128
 
 
 class TooLarge(ValueError):
@@ -59,46 +65,102 @@ class CanonicalForm:
     relabeling: tuple[int, ...]
 
 
-def _refine(n: int, adj: list[list[int]], colors: list[int]) -> list[int]:
-    while True:
-        profiles = [
-            (colors[v], tuple(sorted(colors[u] for u in adj[v]))) for v in range(n)
-        ]
-        rank = {p: i for i, p in enumerate(sorted(set(profiles)))}
-        new = [rank[p] for p in profiles]
-        if new == colors:
-            return new
-        colors = new
+def _refine(
+    n: int, adj: list[list[int]], colors: list[int], changed: list[int] | None = None
+) -> list[int]:
+    """Refine `colors` until every vertex of a class has the same multiset
+    of neighbour classes; return the classes as dense ranks.
+
+    Each round splits every class by the sorted tuple of its members'
+    neighbour labels, the pieces in tuple order. A class is labelled by its
+    last position in the ordered partition. That labelling keeps the order
+    of the dense ranks, and a class keeps its label while it does not split,
+    as does the last piece of one that does. So a vertex can get a new
+    profile only next to a vertex whose label moved in the round before, and
+    the other members of its class all keep the profile the class had.
+    `changed`, if given, names a superset of the vertices whose labels
+    differ from a stable colouring that `colors` refines; the first round
+    then starts from their neighbours.
+    """
+    last = {c: position for position, c in enumerate(sorted(colors))}
+    label = [last[c] for c in colors]
+    cells: dict[int, set[int]] = {}
+    for v, x in enumerate(label):
+        cells.setdefault(x, set()).add(v)
+    moved = range(n) if changed is None else changed
+    while moved:
+        touched: dict[int, set[int]] = {}
+        for w in moved:
+            for u in adj[w]:
+                touched.setdefault(label[u], set()).add(u)
+        splits = []
+        for end, hit in touched.items():
+            cell = cells[end]
+            if len(cell) == 1:
+                continue
+            profile = {v: tuple(sorted([label[u] for u in adj[v]])) for v in hit}
+            keys = set(profile.values())
+            rest_key = None
+            if len(hit) < len(cell):
+                rest = next(v for v in cell if v not in hit)
+                rest_key = tuple(sorted([label[u] for u in adj[rest]]))
+                keys.add(rest_key)
+            if len(keys) > 1:
+                splits.append((end, cell, hit, profile, sorted(keys), rest_key))
+        moved = []
+        for end, cell, hit, profile, keys, rest_key in splits:
+            pieces: dict[tuple[int, ...], list[int]] = {key: [] for key in keys}
+            for v, key in profile.items():
+                pieces[key].append(v)
+            if rest_key is not None and rest_key != keys[-1]:
+                pieces[rest_key].extend(v for v in cell if v not in hit)
+            # every piece but the last leaves the cell, which keeps its label
+            at = end - len(cell)
+            for key in keys[:-1]:
+                piece = pieces[key]
+                at += len(piece)
+                cells[at] = set(piece)
+                cell.difference_update(piece)
+                for v in piece:
+                    label[v] = at
+                moved.extend(piece)
+    rank = {end: i for i, end in enumerate(sorted(cells))}
+    return [rank[x] for x in label]
 
 
 def _individualize(n: int, adj: list[list[int]], colors: list[int], v: int) -> list[int]:
     """Split v off its class, ahead of the rest of it, and refine. The
     colours are dense ranks (every _refine output is) and v's class has
     other members, so v keeps its colour c, the rest of its class takes
-    c + 1 and every later colour moves up by one."""
+    c + 1 and every later colour moves up by one. By last positions, the
+    rest of the class keeps its label, so only v's label moves."""
     c = colors[v]
-    return _refine(n, adj, [x + (x > c or (x == c and u != v)) for u, x in enumerate(colors)])
+    return _refine(n, adj, [x + (x > c or (x == c and u != v)) for u, x in enumerate(colors)], [v])
 
 
-def _prefix_bits(n: int, adj_sets: list[set[int]], colors: list[int]) -> tuple[int, ...]:
-    """Column-major upper-triangle bits among the leading singleton classes."""
-    slots: list[int | None] = [None] * n
+def _prefix_bits(
+    n: int, adj_sets: list[set[int]], colors: list[int], parent: tuple[int, ...] = ()
+) -> tuple[int, ...]:
+    """Column-major upper-triangle bits among the leading singleton classes.
+
+    `parent` may be the prefix bits of a colouring that `colors` refines
+    with its leading singletons kept in place, as _individualize does:
+    then the placed vertices extend the parent's, and only the new columns
+    are computed."""
     counts = [0] * n
-    for c in colors:
-        counts[c] += 1
+    order = [0] * n
     for v, c in enumerate(colors):
-        if counts[c] == 1:
-            slots[c] = v
-    placed = []
-    for c in range(n):
-        if slots[c] is None or counts[c] != 1:
-            break
-        placed.append(slots[c])
-    bits = []
-    for j in range(1, len(placed)):
-        vj = placed[j]
-        for i in range(j):
-            bits.append(1 if placed[i] in adj_sets[vj] else 0)
+        counts[c] += 1
+        order[c] = v
+    placed = 0
+    while placed < n and counts[placed] == 1:
+        placed += 1
+    # k placed vertices give k(k-1)/2 bits; a parent with no bits placed at
+    # most one vertex, and column 0 has no bits either way
+    known = (1 + isqrt(1 + 8 * len(parent))) // 2
+    bits = list(parent)
+    for j in range(known, placed):
+        bits.extend(map(adj_sets[order[j]].__contains__, order[:j]))
     return tuple(bits)
 
 
@@ -230,7 +292,7 @@ def _canonical_connected(g: Graph) -> CanonicalForm:
         children = []
         for v in members:
             child = _individualize(n, adj, colors, v)
-            children.append((_prefix_bits(n, adj_sets, child), v, child))
+            children.append((_prefix_bits(n, adj_sets, child, prefix), v, child))
         children.sort(key=lambda t: (t[0], t[1]))
         explored: list[int] = []
         seen_automorphisms = len(automorphisms)

@@ -214,12 +214,12 @@ def test_search_on_non_cospectral_bases_exits_2(capsys, tmp_path):
 
 
 def test_iso_past_size_ceiling_exits_2(capsys, tmp_path):
-    path = tmp_path / "p65.edges"
-    path.write_text(emit_edge_list(from_edge_list(65, [(i, i + 1) for i in range(1, 65)])))
+    path = tmp_path / "p129.edges"
+    path.write_text(emit_edge_list(from_edge_list(129, [(i, i + 1) for i in range(1, 129)])))
     assert main(["iso", str(path), str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: isomorphism supports at most 64 vertices")
+    assert captured.err.startswith("error: isomorphism supports at most 128 vertices")
 
 
 def test_fixture_set_matrices_are_well_formed():

@@ -1,5 +1,7 @@
+import hashlib
 import random
 import time
+from collections import Counter
 from itertools import permutations
 
 import networkx as nx
@@ -7,7 +9,8 @@ import pytest
 
 from graphlifts import fixtures, isomorphism
 from graphlifts.algebra import AbelianGroup, compose, inverse
-from graphlifts.graphs import Graph, from_edge_list, neighbor_lists
+from graphlifts.cli import main
+from graphlifts.graphs import Graph, emit_edge_list, from_edge_list, neighbor_lists
 from graphlifts.isomorphism import (
     TooLarge,
     are_isomorphic,
@@ -117,21 +120,49 @@ def test_empty_and_tiny_graphs():
 
 
 def test_size_ceiling():
-    big = Graph(65, ())
+    big = Graph(129, ())
     with pytest.raises(TooLarge):
         canonical_form(big)
     with pytest.raises(TooLarge):
         are_isomorphic(big, big)
-    ok = Graph(64, ())
+    ok = Graph(128, ())
     assert are_isomorphic(ok, ok)[0]
 
 
 # --- automorphism pruning ---------------------------------------------------
 
 
+def _refine_by_full_rounds(n, adj, colors):
+    """Colour refinement that ranks every vertex's whole profile, its colour
+    and its sorted neighbour colours, in every round until nothing changes:
+    the refinement that _refine must reproduce exactly."""
+    while True:
+        profiles = [
+            (colors[v], tuple(sorted(colors[u] for u in adj[v]))) for v in range(n)
+        ]
+        rank = {p: i for i, p in enumerate(sorted(set(profiles)))}
+        new = [rank[p] for p in profiles]
+        if new == colors:
+            return new
+        colors = new
+
+
+def _full_prefix_bits(adj_sets, colors):
+    """Column-major upper-triangle bits among the leading singleton classes,
+    every column computed afresh."""
+    counts = Counter(colors)
+    placed = []
+    while counts[len(placed)] == 1:
+        placed.append(colors.index(len(placed)))
+    return tuple(
+        1 if placed[i] in adj_sets[placed[j]] else 0 for j in range(1, len(placed)) for i in range(j)
+    )
+
+
 def _unpruned_canonical_connected(g):
     """The backtracking without automorphism pruning: every child of every
-    node is explored. The pruned search must return exactly its result."""
+    node is explored, with the full-round refinement and prefix bits. The
+    pruned search must return exactly its result."""
     n = g.n
     if len(g.edges) == n * (n - 1) // 2:
         all_pairs = tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
@@ -141,7 +172,7 @@ def _unpruned_canonical_connected(g):
     best = {"bits": None, "colors": None}
 
     def search(colors):
-        prefix = isomorphism._prefix_bits(n, adj_sets, colors)
+        prefix = _full_prefix_bits(adj_sets, colors)
         if best["bits"] is not None and prefix > best["bits"][: len(prefix)]:
             return
         counts = [0] * n
@@ -162,13 +193,13 @@ def _unpruned_canonical_connected(g):
         members = sorted(v for v in range(n) if colors[v] == target)
         children = []
         for v in members:
-            child = isomorphism._individualize(n, adj, colors, v)
-            children.append((isomorphism._prefix_bits(n, adj_sets, child), v, child))
+            child = _individualize_by_ranking(n, adj, colors, v)
+            children.append((_full_prefix_bits(adj_sets, child), v, child))
         children.sort(key=lambda t: (t[0], t[1]))
         for _, _, child in children:
             search(child)
 
-    search(isomorphism._refine(n, adj, [0] * n))
+    search(_refine_by_full_rounds(n, adj, [0] * n))
     relabeling = tuple(c + 1 for c in best["colors"])
     return isomorphism.CanonicalForm(n, relabeled(g, relabeling).edges, relabeling)
 
@@ -315,7 +346,7 @@ def _individualize_by_ranking(n, adj, colors, v):
     refine: the ranking that _individualize computes without a sort."""
     keyed = [(colors[u], 0 if u == v else 1) for u in range(n)]
     rank = {p: i for i, p in enumerate(sorted(set(keyed)))}
-    return isomorphism._refine(n, adj, [rank[p] for p in keyed])
+    return _refine_by_full_rounds(n, adj, [rank[p] for p in keyed])
 
 
 def test_individualize_equals_ranking_the_split_pairs():
@@ -355,3 +386,126 @@ def test_symmetric_graphs_finish_within_the_stated_bound():
     for g in graphs:
         assert canonical_form(g).edges == canonical_form(_shuffled(g, rng)).edges
     assert time.perf_counter() - start < 10.0
+
+
+def _refine_cases(rng):
+    for _ in range(40):
+        yield random_graph(rng, n_hi=16)
+        yield _random_cubic(2 * rng.randint(2, 10), rng)
+    for orders in GROUPS_UP_TO_8:
+        for _ in range(3):
+            base = _random_connected_base(rng)
+            yield build_lift(base, _random_signature(base, AbelianGroup(orders), rng))
+
+
+def test_refine_equals_the_full_rounds():
+    # From the all-zero start and from a random colouring; then down a random
+    # path of individualizations, checking at each node every vertex of every
+    # class of more than one vertex, with the child's prefix bits extended
+    # from its parent's.
+    rng = random.Random(2024)
+    checked = 0
+    for g in _refine_cases(rng):
+        n, adj = g.n, neighbor_lists(g)
+        adj_sets = [set(row) for row in adj]
+        for start in ([0] * n, [rng.randrange(3) for _ in range(n)]):
+            assert isomorphism._refine(n, adj, start) == _refine_by_full_rounds(n, adj, start)
+        colors = _refine_by_full_rounds(n, adj, [0] * n)
+        prefix = _full_prefix_bits(adj_sets, colors)
+        assert isomorphism._prefix_bits(n, adj_sets, colors) == prefix
+        while True:
+            split = [v for v in range(n) if colors.count(colors[v]) > 1]
+            if not split:
+                break
+            for v in split:
+                child = _individualize_by_ranking(n, adj, colors, v)
+                assert isomorphism._individualize(n, adj, colors, v) == child
+                expected = _full_prefix_bits(adj_sets, child)
+                assert isomorphism._prefix_bits(n, adj_sets, child, prefix) == expected
+                checked += 1
+            colors = _individualize_by_ranking(n, adj, colors, rng.choice(split))
+            prefix = _full_prefix_bits(adj_sets, colors)
+    assert checked > 1000
+
+
+def _lift_of(base, orders, seed):
+    return build_lift(base, _random_signature(base, AbelianGroup(orders), random.Random(seed)))
+
+
+PIN_GRAPHS = {
+    "C64": lambda: _cycle(64),
+    "Q5": lambda: _hypercube(5),
+    "Q6": lambda: _hypercube(6),
+    "K11 minus two edges": lambda: _complete_minus(11, {(1, 2), (3, 4)}),
+    "G over Z4": lambda: _lift_of(fixtures.BASE_G, (4,), 1),
+    "G over Z6": lambda: _lift_of(fixtures.BASE_G, (6,), 2),
+    "G over Z2xZ4": lambda: _lift_of(fixtures.BASE_G, (2, 4), 3),
+    "H over Z4": lambda: _lift_of(fixtures.BASE_H, (4,), 4),
+    "H over Z6": lambda: _lift_of(fixtures.BASE_H, (6,), 5),
+    "H over Z2xZ4": lambda: _lift_of(fixtures.BASE_H, (2, 4), 6),
+}
+
+# sha256 of repr((edges, relabeling)) of canonical_form on a seeded
+# relabeling of each graph of PIN_GRAPHS, at the commit that pinned them;
+# every later change must keep them.
+PINNED_FORMS = {
+    "C64": "26d086b92ad151763b46c882d7638a74bc168f0ab7a8365344cd22e6362821a3",
+    "Q5": "2d51c3d81b05b18868da895b9d198d836453bb17b9cd72cd61484bcdca7b560c",
+    "Q6": "7a4b2ba3255fae4c4bfa01499abbbf2f7878b8ced80e4ae8539f8d47b1eff3e9",
+    "K11 minus two edges": "65469be217586d655f98c7207448eb8baf04f83b1fd0737be125fe8d7d30cc56",
+    "G over Z4": "5fd28a3f040d3422b90a8651f0fba62d70c09e39b6d833b4d8c01967ebf75f0e",
+    "G over Z6": "04d0c6907d17e0e8963f3bfc0f9c3a9f10691fa465060d842a8feb696e894db3",
+    "G over Z2xZ4": "389a457de0027caa99c475fa68badf94ff1550b1e8d0b2794ac956bc2863fbe7",
+    "H over Z4": "6f319b6d9de47b9719ccb444d429f77bea779c7ab23bd737ef627b2e8e2b85c6",
+    "H over Z6": "dbb85e73c5dc51ee4c6c60125a2e42cfce91d6327c1cd6e124fff34b70853dda",
+    "H over Z2xZ4": "043dc09e429aca44bbde41ca6292aaa7d4a6ea6f9b0d925f04eea5b08a352f7a",
+}
+
+
+def _pinned_relabeling(name, seed=0):
+    return _shuffled(PIN_GRAPHS[name](), random.Random(f"{name}/{seed}"))
+
+
+@pytest.mark.parametrize("name", PINNED_FORMS)
+def test_canonical_forms_are_pinned(name):
+    form = canonical_form(_pinned_relabeling(name))
+    assert hashlib.sha256(repr((form.edges, form.relabeling)).encode()).hexdigest() == PINNED_FORMS[name]
+
+
+# sha256 of the stdout of `iso A B` on two relabelings of one graph, mapping
+# line included, at the commit that pinned them.
+PINNED_ISO_STDOUT = {
+    "Q5": "4ca4a334c6b70ca6514eba9c4a5d8d84b2cde1cd44983c512aa6139a449533db",
+    "K11 minus two edges": "79e363c1addb862db116ae13db6ae75a56b33349d0ee08e1205135a606b57c7d",
+    "G over Z2xZ4": "f8af8684f887e8b9d6c193f2e924c38d47ad1309786685e6cce9e3928af6fda7",
+    "H over Z6": "39037a05c65fe656f397216d3a4aebdc8411a85cf43d9f2b4010bedad486a70f",
+}
+
+
+@pytest.mark.parametrize("name", PINNED_ISO_STDOUT)
+def test_iso_stdout_is_pinned(name, capsys, tmp_path):
+    paths = []
+    for seed in (1, 2):
+        path = tmp_path / f"{seed}.edges"
+        path.write_text(emit_edge_list(_pinned_relabeling(name, seed)))
+        paths.append(str(path))
+    assert main(["iso", *paths]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("isomorphic\nmapping: ")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_ISO_STDOUT[name]
+
+
+def test_graphs_at_the_size_ceiling_finish_within_the_stated_bound():
+    """C128, the hypercube Q7 and the 120-vertex lift of H over Z20 whose only
+    non-identity voltage is 1 on (5, 6), each against a seeded relabeling:
+    all six canonical forms together finish in under 5 s."""
+    h = fixtures.BASE_H
+    z20 = AbelianGroup((20,))
+    lift = build_lift(h, make_signature(h, z20, {e: ((1,) if e == (5, 6) else (0,)) for e in h.edges}))
+    graphs = [_cycle(128), _hypercube(7), lift]
+    assert max(g.n for g in graphs) == isomorphism.SIZE_CEILING
+    rng = random.Random(128)
+    start = time.perf_counter()
+    for g in graphs:
+        assert canonical_form(g).edges == canonical_form(_shuffled(g, rng)).edges
+    assert time.perf_counter() - start < 5.0
