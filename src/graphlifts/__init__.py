@@ -21,7 +21,7 @@ from .graphs import Graph, from_edge_list, parse_edge_list, parse_graph6
 from .isomorphism import are_isomorphic
 from .lifts import Signature, build_constant_lift, build_lift, make_signature, parse_signature
 from .search import SearchOptions, corollary_generate, iter_search, search
-from .spectra import charpoly, cospectral, verify_decomposition
+from .spectra import charpoly, cospectral, lift_charpoly, verify_decomposition
 
 __all__ = [
     "AbelianGroup",
@@ -42,6 +42,7 @@ __all__ = [
     "from_edge_list",
     "inverse",
     "iter_search",
+    "lift_charpoly",
     "make_signature",
     "parse_edge_list",
     "parse_element",

@@ -140,8 +140,10 @@ def _individualize(n: int, adj: list[list[int]], colors: list[int], v: int) -> l
 
 def _prefix_bits(
     n: int, adj_sets: list[set[int]], colors: list[int], parent: tuple[int, ...] = ()
-) -> tuple[int, ...]:
-    """Column-major upper-triangle bits among the leading singleton classes.
+) -> tuple[tuple[int, ...], int]:
+    """Column-major upper-triangle bits among the leading singleton classes,
+    and the number of those classes: n if the colouring is discrete, else
+    the first class of more than one vertex (colours are dense ranks).
 
     `parent` may be the prefix bits of a colouring that `colors` refines
     with its leading singletons kept in place, as _individualize does:
@@ -161,7 +163,7 @@ def _prefix_bits(
     bits = list(parent)
     for j in range(known, placed):
         bits.extend(map(adj_sets[order[j]].__contains__, order[:j]))
-    return tuple(bits)
+    return tuple(bits), placed
 
 
 def _components(g: Graph) -> list[list[int]]:
@@ -258,18 +260,15 @@ def _canonical_connected(g: Graph) -> CanonicalForm:
                         rep[max(a, b)] = min(a, b)
         return [find(v) for v in range(n)]
 
-    def search(colors: list[int], path: list[int], prefix: tuple[int, ...]) -> int | None:
+    def search(colors: list[int], path: list[int], prefix: tuple[int, ...], placed: int) -> int | None:
         """Explore the node reached by individualizing the vertices of
-        `path` in turn; `prefix` is its _prefix_bits, which at a leaf is the
-        whole string. Returns None, or, after a leaf equal to the best one,
-        the depth where the two leaves' paths part, to resume there."""
+        `path` in turn; `prefix` and `placed` are its _prefix_bits, which at
+        a leaf are the whole string and n. Returns None, or, after a leaf
+        equal to the best one, the depth where the two leaves' paths part,
+        to resume there."""
         if best["bits"] is not None and prefix > best["bits"][: len(prefix)]:
             return None
-        counts = [0] * n
-        for c in colors:
-            counts[c] += 1
-        target = next((c for c in range(n) if counts[c] > 1), None)
-        if target is None:
+        if placed == n:
             if best["bits"] is None or prefix < best["bits"]:
                 best["bits"] = prefix
                 best["colors"] = list(colors)
@@ -288,28 +287,28 @@ def _canonical_connected(g: Graph) -> CanonicalForm:
         # prefix bits, so the least of them sorts first and only it is
         # individualized; orbits grow as siblings find automorphisms.
         orbit = orbits(path)
-        members = sorted(v for v in range(n) if colors[v] == target and orbit[v] == v)
+        members = sorted(v for v in range(n) if colors[v] == placed and orbit[v] == v)
         children = []
         for v in members:
             child = _individualize(n, adj, colors, v)
-            children.append((_prefix_bits(n, adj_sets, child, prefix), v, child))
-        children.sort(key=lambda t: (t[0], t[1]))
+            children.append((*_prefix_bits(n, adj_sets, child, prefix), v, child))
+        children.sort(key=lambda t: (t[0], t[2]))
         explored: list[int] = []
         seen_automorphisms = len(automorphisms)
-        for child_prefix, v, child in children:
+        for child_prefix, child_placed, v, child in children:
             if len(automorphisms) > seen_automorphisms:
                 seen_automorphisms = len(automorphisms)
                 orbit = orbits(path)
             if any(orbit[u] == orbit[v] for u in explored):
                 continue
             explored.append(v)
-            back = search(child, path + [v], child_prefix)
+            back = search(child, path + [v], child_prefix, child_placed)
             if back is not None and back < len(path):
                 return back
         return None
 
     root = _refine(n, adj, [0] * n)
-    search(root, [], _prefix_bits(n, adj_sets, root))
+    search(root, [], *_prefix_bits(n, adj_sets, root))
     colors = best["colors"]
     relabeling = tuple(colors[v] + 1 for v in range(n))
     edges = sorted(

@@ -26,7 +26,7 @@ from .algebra import AbelianGroup, GroupSpec, compose, fiber_action, inverse, po
 from .graphs import Graph, degree_sequence, neighbor_lists
 from .isomorphism import canonical_form
 from .lifts import NonAbelianSignature, Signature, build_lift, make_signature
-from .spectra import charpoly, cospectral
+from .spectra import cospectral, lift_charpoly
 
 
 class WrongBaseGraph(ValueError):
@@ -279,9 +279,31 @@ class SwitchingClasses:
         return cid
 
     def class_ids(self) -> list[int]:
-        """The class of every signature, indexed by its rank."""
-        k, m = len(self.elements), len(self.base.edges)
-        return [self._class_of_digits(_digits(rank, k, m)) for rank in range(k**m)]
+        """The class of every signature, indexed by its rank.
+
+        The class key is a homomorphism of the edge voltages, so each key
+        digit is the product of one part per edge: the key digit of that
+        edge's voltage alone. Each digit is expanded over all ranks one edge
+        at a time, the first edge most significant.
+        """
+        k, m, beta = len(self.elements), len(self.base.edges), len(self._cotree)
+        mul = self._mul
+        parts = []  # parts[e][d]: the key digits of element d on edge e alone
+        for e in range(m):
+            row = []
+            for d in range(k):
+                digits = [0] * m
+                digits[e] = d
+                row.append(_digits(self._class_of_digits(digits), k, beta))
+            parts.append(row)
+        ids = [0] * k**m
+        for c in range(beta):
+            keys = [0]
+            for e in range(m):
+                part = [parts[e][d][c] for d in range(k)]
+                keys = [mul[x][p] for x in keys for p in part]
+            ids = [cid * k + key for cid, key in zip(ids, keys)]
+        return ids
 
     def class_of(self, s: Signature) -> int:
         """The number of the class of signature s."""
@@ -371,8 +393,8 @@ def _blocks(g: Graph, h: Graph, gr: AbelianGroup, filter_by_theorem: bool, on_fi
     classes_h = SwitchingClasses(h, gr)
     reps_g = [classes_g.representative(c) for c in range(classes_g.count)]
     reps_h = [classes_h.representative(c) for c in range(classes_h.count)]
-    polys_g = [tuple(charpoly(build_lift(g, s))) for s in reps_g]
-    polys_h = [tuple(charpoly(build_lift(h, s))) for s in reps_h]
+    polys_g = [tuple(lift_charpoly(build_lift(g, s), gr)) for s in reps_g]
+    polys_h = [tuple(lift_charpoly(build_lift(h, s), gr)) for s in reps_h]
 
     # Join: every pair of classes that yields rows, with the conditions.
     classes_h_by_poly: dict[tuple[int, ...], list[int]] = {}

@@ -1,19 +1,22 @@
 """Exact spectra: characteristic polynomials, cospectrality, and the
 character decomposition of lifted graphs.
 
-Cospectrality is decided only by exact integer polynomial equality. The
-decomposition check multiplies, over all characters chi of an abelian voltage
-group, the charpoly of the matrix whose (i, j) entry is chi of the edge
-voltage (inverse on the mirrored entry), and compares the product with the
-lift's charpoly. That product has integer coefficients of bounded size, so it
-is computed exactly as the image of the character values under a ring
-homomorphism Z[zeta_K] -> Z/MZ, with integer charpolys throughout (see
-verify_decomposition).
+Cospectrality is decided only by exact integer polynomial equality. A lift's
+charpoly comes from closed walks at one vertex per fibre (lift_charpoly);
+any other graph's comes from the Berkowitz recursion. The decomposition
+check multiplies, over all characters chi of an abelian voltage group, the
+charpoly of the matrix whose (i, j) entry is chi of the edge voltage
+(inverse on the mirrored entry), and compares the product with the lift's
+charpoly. That product has integer coefficients of bounded size, so it is
+computed exactly as the image of the character values under a ring
+homomorphism Z[zeta_K] -> Z/MZ, with Berkowitz charpolys mod M throughout
+(see verify_decomposition).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .algebra import (
     AbelianGroup,
@@ -21,9 +24,10 @@ from .algebra import (
     characters,
     compose,
     cyclotomic_poly,
+    fiber_action,
     poly_mul,
 )
-from .graphs import Graph, adjacency_matrix, degree_sequence
+from .graphs import Graph, adjacency_matrix, degree_sequence, neighbor_lists
 from .lifts import NonAbelianSignature, Signature, build_constant_lift, build_lift
 
 
@@ -31,9 +35,76 @@ class PreconditionFailed(ValueError):
     """A lemma verification was called outside its hypotheses."""
 
 
+class NotFibreSymmetric(ValueError):
+    """lift_charpoly was given a graph that the fibre translations of its
+    group do not map onto itself."""
+
+
 def charpoly(g: Graph) -> list[int]:
     """det(tI - A(g)) as an integer coefficient list, index = power."""
     return berkowitz_charpoly(adjacency_matrix(g))
+
+
+def lift_charpoly(lift: Graph, gr: AbelianGroup) -> list[int]:
+    """det(tI - A(lift)) as an integer coefficient list, index = power, for
+    a graph on N = n*|gr| vertices numbered fibre by fibre, as build_lift
+    numbers them, that every fibre translation maps onto itself.
+
+    Translating every fibre by h, (i, a) -> (i, a*h), is then an
+    automorphism, and the translations act transitively on each fibre. So
+    every vertex of fibre i closes as many walks of each length k as its
+    first vertex s_i, and the power sum p_k = tr(A^k) is |gr| times the sum
+    over i of (A^k)[s_i][s_i] = <A^floor(k/2) e_s, A^ceil(k/2) e_s>.
+    Newton's identities k*c_k = -sum_{j=1..k} p_j*c_(k-j) turn p_1..p_N
+    into the coefficient c_k of t^(N-k), each division exact.
+
+    Raises NotFibreSymmetric unless translating by each cyclic generator
+    of gr maps the edge set onto itself, which makes every translation an
+    automorphism; the result therefore always describes the graph given.
+    """
+    if not isinstance(gr, AbelianGroup):
+        raise NonAbelianSignature("lift_charpoly requires an abelian group")
+    d, size = gr.order(), lift.n
+    if size % d:
+        raise NotFibreSymmetric(f"{size} vertices do not form fibres of {d}")
+    edges = set(lift.edges)
+    for pos in range(len(gr.orders)):
+        generator = tuple(int(q == pos) % k for q, k in enumerate(gr.orders))
+        shift = fiber_action(gr, generator)
+        image = [0] + [fibre + shift[a] + 1 for fibre in range(0, size, d) for a in range(d)]
+        for u, v in lift.edges:
+            a, b = image[u], image[v]
+            if ((a, b) if a < b else (b, a)) not in edges:
+                raise NotFibreSymmetric(
+                    f"translating the fibres by {generator} moves edge ({u},{v}) off the graph"
+                )
+    adj = neighbor_lists(lift)
+    walks_at_first = [0] * (size + 1)
+    for s in range(0, size, d):
+        # a walk from s stays in its component; number it from s = 0
+        comp, local = [s], {s: 0}
+        for u in comp:
+            for v in adj[u]:
+                if v not in local:
+                    local[v] = len(comp)
+                    comp.append(v)
+        rows = [[local[v] for v in adj[u]] for u in comp]
+        walk = [1] + [0] * (len(comp) - 1)  # A^t e_s, from t = 0
+        for t in range(size // 2 + 1):
+            walks_at_first[2 * t] += sum(map(mul, walk, walk))
+            if 2 * t < size:
+                at = walk.__getitem__
+                step = [sum(map(at, nbrs)) for nbrs in rows]
+                walks_at_first[2 * t + 1] += sum(map(mul, walk, step))
+                walk = step
+    coeffs = [1]
+    for k in range(1, size + 1):
+        c, rem = divmod(-d * sum(map(mul, walks_at_first[1 : k + 1], reversed(coeffs))), k)
+        if rem:
+            raise ArithmeticError(f"Newton's identity for c_{k} does not divide exactly")
+        coeffs.append(c)
+    coeffs.reverse()
+    return coeffs
 
 
 def cospectral(g: Graph, h: Graph) -> bool:
@@ -55,7 +126,9 @@ class VerifyReport:
 
 def verify_decomposition(base: Graph, s: Signature) -> VerifyReport:
     """Check that the lift's charpoly equals the product over all characters
-    of the charpolys of the character matrices.
+    of the charpolys of the character matrices. The lift side is
+    lift_charpoly on the lift as built, from closed walks; the character
+    side is Berkowitz mod M, as follows.
 
     Let K be the group exponent, N = n*|Gr| the lift's order and D the base's
     maximum degree. Each character matrix is Hermitian with at most D
@@ -71,7 +144,7 @@ def verify_decomposition(base: Graph, s: Signature) -> VerifyReport:
     """
     if not s.is_abelian():
         raise NonAbelianSignature("decomposition requires an abelian signature")
-    lift_poly = charpoly(build_lift(base, s))
+    lift_poly = lift_charpoly(build_lift(base, s), s.group)
     exponent = s.group.exponent()
     bound = 2 * (max(degree_sequence(base), default=0) + 1) ** (base.n * s.group.order())
     phi = cyclotomic_poly(exponent)
@@ -103,5 +176,6 @@ def verify_constant_lift_lemma(g: Graph, h: Graph, gr: AbelianGroup, elem) -> bo
         raise PreconditionFailed(
             "permutation matrix of the voltage is not symmetric (element is not an involution)"
         )
-    return cospectral(build_constant_lift(g, gr, elem), build_constant_lift(h, gr, elem))
+    lift_g, lift_h = (build_constant_lift(base, gr, elem) for base in (g, h))
+    return lift_charpoly(lift_g, gr) == lift_charpoly(lift_h, gr)
 

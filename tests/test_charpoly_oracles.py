@@ -1,16 +1,25 @@
 """The sparse Berkowitz kernel and the modular character product against
 test-local copies of the computations they replaced: the dense
 Samuelson-Berkowitz recursion and the character product taken in the
-cyclotomic ring Z[x]/(Phi_K)."""
+cyclotomic ring Z[x]/(Phi_K). The closed-walk lift charpoly against
+Berkowitz, and its refusal of a graph that is not fibre-symmetric."""
 
 import random
 
 import pytest
 
-from graphlifts.algebra import AbelianGroup, berkowitz_charpoly, characters, cyclo_int, poly_mul
-from graphlifts.graphs import adjacency_matrix, from_edge_list
+from graphlifts import spectra
+from graphlifts.algebra import (
+    AbelianGroup,
+    berkowitz_charpoly,
+    characters,
+    cyclo_int,
+    fiber_action,
+    poly_mul,
+)
+from graphlifts.graphs import Graph, adjacency_matrix, from_edge_list
 from graphlifts.lifts import build_lift, make_signature
-from graphlifts.spectra import verify_decomposition
+from graphlifts.spectra import NotFibreSymmetric, lift_charpoly, verify_decomposition
 
 
 def dense_berkowitz(matrix, zero=0, one=1):
@@ -159,3 +168,82 @@ def test_modular_product_on_the_largest_bound():
     assert report.lift_poly == dense_berkowitz(adjacency_matrix(build_lift(base, s)))
     assert report.holds
     assert max(abs(c) for c in report.product_poly) > 2**64
+
+
+# The group pool of the decompose-random benchmark workload.
+LIFT_GROUPS = [
+    AbelianGroup(orders)
+    for orders in ((2,), (3,), (4,), (5,), (2, 2), (6,), (2, 4), (3, 3), (2, 2, 2), (12,))
+]
+
+
+def _group_id(gr):
+    return "x".join(f"Z{k}" for k in gr.orders)
+
+
+@pytest.mark.parametrize("gr", LIFT_GROUPS, ids=_group_id)
+def test_lift_charpoly_equals_berkowitz(gr):
+    rng = random.Random(f"lift-charpoly/{gr.orders}")
+    bases = [_random_base(rng, n, 0.5) for n in range(2, 8)]
+    bases.append(from_edge_list(7, [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6)]))  # 7 isolated
+    bases.append(from_edge_list(6, [(1, 2), (2, 3), (3, 4), (4, 1), (5, 6)]))
+    bases += [from_edge_list(1, []), from_edge_list(3, [])]
+    for base in bases:
+        lift = build_lift(base, _random_signature(base, gr, rng))
+        poly = lift_charpoly(lift, gr)
+        assert poly == berkowitz_charpoly(adjacency_matrix(lift)), base.edges
+        if not base.edges:
+            assert poly == [0] * lift.n + [1]
+    assert lift_charpoly(from_edge_list(0, []), gr) == [1]
+
+
+def test_lift_charpoly_on_fibre_symmetric_graphs_that_are_not_lifts():
+    # Edges inside a fibre: circulants on one fibre, and two fibres whose
+    # copies are joined by two matchings.
+    z12 = AbelianGroup((12,))
+    circulant = from_edge_list(12, [(a + 1, (a + s) % 12 + 1) for a in range(12) for s in (1, 5)])
+    z2x4 = AbelianGroup((2, 4))
+    shifts = [fiber_action(z2x4, e) for e in ((0, 1), (1, 2), (1, 0))]
+    two_fibres = from_edge_list(
+        16,
+        [(a + 1, shifts[0][a] + 1) for a in range(8)]
+        + [(a + 1, 8 + shifts[1][a] + 1) for a in range(8)]
+        + [(a + 1, 8 + shifts[2][a] + 1) for a in range(8)],
+    )
+    for graph, gr in ((circulant, z12), (two_fibres, z2x4)):
+        assert lift_charpoly(graph, gr) == berkowitz_charpoly(adjacency_matrix(graph))
+
+
+def _rewired(lift: Graph, rng: random.Random) -> Graph:
+    """The lift with one edge (u, v) moved to (u, w), w not a neighbour of u."""
+    edges = list(lift.edges)
+    u, _ = edges.pop(rng.randrange(len(edges)))
+    taken = {b for a, b in lift.edges if a == u} | {a for a, b in lift.edges if b == u} | {u}
+    w = rng.choice([x for x in range(1, lift.n + 1) if x not in taken])
+    return from_edge_list(lift.n, edges + [(u, w)])
+
+
+def _rewirable_cases(rng):
+    for gr in LIFT_GROUPS:
+        base = from_edge_list(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (2, 4)])
+        s = _random_signature(base, gr, rng)
+        yield base, s, _rewired(build_lift(base, s), rng)
+
+
+def test_lift_charpoly_refuses_a_rewired_lift():
+    rng = random.Random(71)
+    for base, s, rewired in _rewirable_cases(rng):
+        with pytest.raises(NotFibreSymmetric):
+            lift_charpoly(rewired, s.group)
+    with pytest.raises(NotFibreSymmetric):
+        lift_charpoly(from_edge_list(5, [(1, 2)]), AbelianGroup((2,)))  # no fibres of 2
+
+
+def test_verify_decomposition_checks_the_graph_built(monkeypatch):
+    # verify_decomposition takes the lift side from the graph that
+    # build_lift returns: a wrong graph must never be reported as holding.
+    rng = random.Random(72)
+    for base, s, rewired in _rewirable_cases(rng):
+        monkeypatch.setattr(spectra, "build_lift", lambda b, sig, graph=rewired: graph)
+        with pytest.raises(NotFibreSymmetric):
+            verify_decomposition(base, s)

@@ -159,6 +159,14 @@ def _full_prefix_bits(adj_sets, colors):
     )
 
 
+def _leading_singletons(colors):
+    counts = Counter(colors)
+    placed = 0
+    while counts[placed] == 1:
+        placed += 1
+    return placed
+
+
 def _unpruned_canonical_connected(g):
     """The backtracking without automorphism pruning: every child of every
     node is explored, with the full-round refinement and prefix bits. The
@@ -412,7 +420,7 @@ def test_refine_equals_the_full_rounds():
             assert isomorphism._refine(n, adj, start) == _refine_by_full_rounds(n, adj, start)
         colors = _refine_by_full_rounds(n, adj, [0] * n)
         prefix = _full_prefix_bits(adj_sets, colors)
-        assert isomorphism._prefix_bits(n, adj_sets, colors) == prefix
+        assert isomorphism._prefix_bits(n, adj_sets, colors) == (prefix, _leading_singletons(colors))
         while True:
             split = [v for v in range(n) if colors.count(colors[v]) > 1]
             if not split:
@@ -420,7 +428,7 @@ def test_refine_equals_the_full_rounds():
             for v in split:
                 child = _individualize_by_ranking(n, adj, colors, v)
                 assert isomorphism._individualize(n, adj, colors, v) == child
-                expected = _full_prefix_bits(adj_sets, child)
+                expected = _full_prefix_bits(adj_sets, child), _leading_singletons(child)
                 assert isomorphism._prefix_bits(n, adj_sets, child, prefix) == expected
                 checked += 1
             colors = _individualize_by_ranking(n, adj, colors, rng.choice(split))

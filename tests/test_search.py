@@ -443,6 +443,26 @@ def test_switching_classes_are_the_net_voltages_of_the_cycle():
         assert [classes.class_of(classes.representative(c)) for c in range(9)] == list(range(9))
 
 
+@pytest.mark.parametrize("orders", [(2,), (4,), (2, 2), (2, 4), (2, 2, 2)])
+@pytest.mark.parametrize("seed", range(4))
+def test_class_ids_agree_with_class_of_on_every_rank(orders, seed):
+    # random bases of 1-5 vertices: edgeless, forests (beta = 0) and cyclic
+    rng = random.Random(f"class_ids/{orders}/{seed}")
+    gr = AbelianGroup(orders)
+    n = rng.randint(1, 5)
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    edges = [p for p in pairs if rng.random() < 0.5]
+    while gr.order() ** len(edges) > 4096:
+        edges.pop()
+    base = from_edge_list(n, edges)
+    classes = SwitchingClasses(base, gr)
+    ids = classes.class_ids()
+    assert len(ids) == signature_count(base, gr)
+    assert set(ids) <= set(range(classes.count))
+    for rank, cid in enumerate(ids):
+        assert classes.class_of(signature_from_rank(base, gr, rank)) == cid
+
+
 def _oracle_search(g, h, gr, filter_by_theorem=False):
     """Brute force over every rank: a charpoly, the conditions from the edge
     equations, and a canonical form per signature, joined pair by pair."""
