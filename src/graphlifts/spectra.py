@@ -2,15 +2,16 @@
 character decomposition of lifted graphs.
 
 Cospectrality is decided only by exact integer polynomial equality. A lift's
-charpoly comes from closed walks at one vertex per fibre (lift_charpoly);
-any other graph's comes from the Berkowitz recursion. The decomposition
-check multiplies, over all characters chi of an abelian voltage group, the
+charpoly comes from closed walks at one vertex per fibre, all walked
+together with one packed integer per vertex (lift_charpoly); any other
+graph's comes from the Berkowitz recursion. The decomposition check
+multiplies, over all characters chi of an abelian voltage group, the
 charpoly of the matrix whose (i, j) entry is chi of the edge voltage
 (inverse on the mirrored entry), and compares the product with the lift's
 charpoly. That product has integer coefficients of bounded size, so it is
 computed exactly as the image of the character values under a ring
-homomorphism Z[zeta_K] -> Z/MZ, with Berkowitz charpolys mod M throughout
-(see verify_decomposition).
+homomorphism Z[zeta_K] -> Z/MZ, with Berkowitz charpolys mod M, one per
+pair of conjugate characters (see verify_decomposition).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .algebra import (
     compose,
     cyclotomic_poly,
     fiber_action,
+    inverse,
     poly_mul,
 )
 from .graphs import Graph, adjacency_matrix, degree_sequence, neighbor_lists
@@ -54,9 +56,15 @@ def lift_charpoly(lift: Graph, gr: AbelianGroup) -> list[int]:
     automorphism, and the translations act transitively on each fibre. So
     every vertex of fibre i closes as many walks of each length k as its
     first vertex s_i, and the power sum p_k = tr(A^k) is |gr| times the sum
-    over i of (A^k)[s_i][s_i] = <A^floor(k/2) e_s, A^ceil(k/2) e_s>.
-    Newton's identities k*c_k = -sum_{j=1..k} p_j*c_(k-j) turn p_1..p_N
-    into the coefficient c_k of t^(N-k), each division exact.
+    over i of (A^k)[s_i][s_i]. The n starts are walked together, N steps
+    over the union of their components: each vertex v holds one integer
+    whose field i, width = N*bit_length(D) + 1 bits wide for the maximum
+    degree D, is the number of walks of length k from s_i to v. For
+    1 <= k <= N that count is at most D^k <= D^N < 2^(N*bit_length(D)), and
+    for k = 0 it is 1, so no field carries into the next, and p_k is |gr|
+    times the sum of field i at s_i. Newton's identities
+    k*c_k = -sum_{j=1..k} p_j*c_(k-j) turn p_1..p_N into the coefficient
+    c_k of t^(N-k), each division exact.
 
     Raises NotFibreSymmetric unless translating by each cyclic generator
     of gr maps the edge set onto itself, which makes every translation an
@@ -79,24 +87,25 @@ def lift_charpoly(lift: Graph, gr: AbelianGroup) -> list[int]:
                     f"translating the fibres by {generator} moves edge ({u},{v}) off the graph"
                 )
     adj = neighbor_lists(lift)
-    walks_at_first = [0] * (size + 1)
-    for s in range(0, size, d):
-        # a walk from s stays in its component; number it from s = 0
-        comp, local = [s], {s: 0}
-        for u in comp:
-            for v in adj[u]:
-                if v not in local:
-                    local[v] = len(comp)
-                    comp.append(v)
-        rows = [[local[v] for v in adj[u]] for u in comp]
-        walk = [1] + [0] * (len(comp) - 1)  # A^t e_s, from t = 0
-        for t in range(size // 2 + 1):
-            walks_at_first[2 * t] += sum(map(mul, walk, walk))
-            if 2 * t < size:
-                at = walk.__getitem__
-                step = [sum(map(at, nbrs)) for nbrs in rows]
-                walks_at_first[2 * t + 1] += sum(map(mul, walk, step))
-                walk = step
+    # a walk from a start stays in its component; number the union of the
+    # starts' components from 0, the starts first
+    comp = list(range(0, size, d))
+    local = {s: i for i, s in enumerate(comp)}
+    for u in comp:
+        for v in adj[u]:
+            if v not in local:
+                local[v] = len(comp)
+                comp.append(v)
+    rows = [[local[v] for v in adj[u]] for u in comp]
+    width = size * max(map(len, adj), default=0).bit_length() + 1
+    mask = (1 << width) - 1
+    shifts = range(0, width * (size // d), width)
+    walk = [1 << shift for shift in shifts] + [0] * (len(comp) - len(shifts))
+    walks_at_first = [0]
+    for _ in range(size):
+        at = walk.__getitem__
+        walk = [sum(map(at, nbrs)) for nbrs in rows]
+        walks_at_first.append(sum((w >> shift) & mask for w, shift in zip(walk, shifts)))
     coeffs = [1]
     for k in range(1, size + 1):
         c, rem = divmod(-d * sum(map(mul, walks_at_first[1 : k + 1], reversed(coeffs))), k)
@@ -141,6 +150,12 @@ def verify_decomposition(base: Graph, s: Signature) -> VerifyReport:
     the product is the symmetric residues mod M of the product of the integer
     charpolys of the images of the character matrices, each entry chi(g)
     mapped to r^e mod M and its mirrored inverse to r^(K-e) mod M.
+
+    The conjugate character has A_conj(chi) = A_chi^T, and its image is the
+    transpose of A_chi's, since r^e and r^(K-e) swap places; a matrix and
+    its transpose have one charpoly. So the factor is computed once per
+    pair of conjugate characters, at the one of lower index, and taken
+    twice unless chi is its own conjugate.
     """
     if not s.is_abelian():
         raise NonAbelianSignature("decomposition requires an abelian signature")
@@ -151,16 +166,20 @@ def verify_decomposition(base: Graph, s: Signature) -> VerifyReport:
     b = 1
     while (modulus := sum(c << (b * i) for i, c in enumerate(phi))) <= bound:
         b += 1
-    r = 1 << b
+    powers = [pow(1 << b, e, modulus) for e in range(exponent)]
     product = [1]
-    for chi in characters(s.group):
+    for pos, chi in enumerate(characters(s.group)):
+        conjugate = s.group.index(inverse(s.group, chi.index))
+        if conjugate < pos:
+            continue
         m = [[0] * base.n for _ in range(base.n)]
         for (i, j), g in s.assignments.items():
             e = chi.root_exponent(g)
-            m[i - 1][j - 1] = pow(r, e, modulus)
-            m[j - 1][i - 1] = pow(r, -e % exponent, modulus)
+            m[i - 1][j - 1] = powers[e]
+            m[j - 1][i - 1] = powers[-e % exponent]
         factor = [c % modulus for c in berkowitz_charpoly(m)]
-        product = [c % modulus for c in poly_mul(product, factor)]
+        for _ in range(1 if conjugate == pos else 2):
+            product = [c % modulus for c in poly_mul(product, factor)]
     product_ints = [c - modulus if 2 * c > modulus else c for c in product]
     return VerifyReport(lift_poly == product_ints, lift_poly, product_ints)
 

@@ -1,8 +1,9 @@
 """The sparse Berkowitz kernel and the modular character product against
 test-local copies of the computations they replaced: the dense
 Samuelson-Berkowitz recursion and the character product taken in the
-cyclotomic ring Z[x]/(Phi_K). The closed-walk lift charpoly against
-Berkowitz, and its refusal of a graph that is not fibre-symmetric."""
+cyclotomic ring Z[x]/(Phi_K), and the one factor it takes per pair of
+conjugate characters. The closed-walk lift charpoly against Berkowitz, and
+its refusal of a graph that is not fibre-symmetric."""
 
 import random
 
@@ -14,10 +15,12 @@ from graphlifts.algebra import (
     berkowitz_charpoly,
     characters,
     cyclo_int,
+    cyclotomic_poly,
     fiber_action,
+    inverse,
     poly_mul,
 )
-from graphlifts.graphs import Graph, adjacency_matrix, from_edge_list
+from graphlifts.graphs import Graph, adjacency_matrix, degree_sequence, from_edge_list, neighbor_lists
 from graphlifts.lifts import build_lift, make_signature
 from graphlifts.spectra import NotFibreSymmetric, lift_charpoly, verify_decomposition
 
@@ -247,3 +250,131 @@ def test_verify_decomposition_checks_the_graph_built(monkeypatch):
         monkeypatch.setattr(spectra, "build_lift", lambda b, sig, graph=rewired: graph)
         with pytest.raises(NotFibreSymmetric):
             verify_decomposition(base, s)
+
+
+def _components(graph: Graph) -> list[int]:
+    """Each vertex's component, as the least 0-indexed vertex in it."""
+    adj, comp = neighbor_lists(graph), list(range(graph.n))
+    for s in range(graph.n):
+        if comp[s] == s:
+            stack = [s]
+            while stack:
+                for v in adj[stack.pop()]:
+                    if comp[v] != s:
+                        comp[v] = s
+                        stack.append(v)
+    return comp
+
+
+def _start_components(base, s):
+    """The lift, and the component of each fibre's first vertex."""
+    lift = build_lift(base, s)
+    comp = _components(lift)
+    return lift, [comp[v] for v in range(0, lift.n, s.group.order())]
+
+
+def test_lift_charpoly_with_fibre_starts_in_different_components():
+    # A disconnected base, and a connected path whose voltage on (1, 2)
+    # puts the first vertex of fibre 1 next to a later vertex of fibre 2,
+    # so s_1 and s_2 lie in different lift components.
+    rng = random.Random(73)
+    z12, z2x4 = AbelianGroup((12,)), AbelianGroup((2, 4))
+    path = from_edge_list(3, [(1, 2), (2, 3)])
+    cases = [
+        (path, make_signature(path, z12, {(1, 2): (1,), (2, 3): (0,)})),
+        (path, make_signature(path, z2x4, {(1, 2): (1, 2), (2, 3): (0, 1)})),
+    ]
+    two_parts = from_edge_list(6, [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6)])
+    cases += [(two_parts, _random_signature(two_parts, gr, rng)) for gr in LIFT_GROUPS]
+    for base, s in cases:
+        lift, starts = _start_components(base, s)
+        assert len(set(starts)) > 1, (base.edges, s.assignments)
+        assert lift_charpoly(lift, s.group) == berkowitz_charpoly(adjacency_matrix(lift))
+
+
+def test_lift_charpoly_with_fibre_starts_sharing_a_component():
+    # Identity voltages on a connected base put every start in one copy of
+    # it; a cycle whose net voltage generates Z12 gives one connected lift.
+    rng = random.Random(74)
+    z12 = AbelianGroup((12,))
+    cycle = from_edge_list(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (2, 4)])
+    generating = make_signature(cycle, z12, {e: (int(e == (1, 5)),) for e in cycle.edges})
+    assert len(set(_components(build_lift(cycle, generating)))) == 1
+    signatures = [make_signature(cycle, gr, {e: gr.identity() for e in cycle.edges}) for gr in LIFT_GROUPS]
+    signatures += [generating] + [_random_signature(cycle, gr, rng) for gr in LIFT_GROUPS]
+    for s in signatures:
+        lift, starts = _start_components(cycle, s)
+        assert len(starts) > len(set(starts)), s.assignments
+        assert lift_charpoly(lift, s.group) == berkowitz_charpoly(adjacency_matrix(lift))
+
+
+def test_lift_charpoly_on_the_densest_bases():
+    # K7, the densest base of the decompose-random pool, over Z2xZ2xZ2 (56
+    # vertices) and Z12 (84 vertices, walk counts up to 6^84 per field).
+    rng = random.Random(75)
+    k7 = from_edge_list(7, [(i, j) for i in range(1, 8) for j in range(i + 1, 8)])
+    for gr in (AbelianGroup((2, 2, 2)), AbelianGroup((12,))):
+        lift = build_lift(k7, _random_signature(k7, gr, rng))
+        assert lift_charpoly(lift, gr) == berkowitz_charpoly(adjacency_matrix(lift))
+
+
+def _character_images(base, s):
+    """The image mod M of every character matrix, with M and r = 2^b chosen
+    as verify_decomposition chooses them."""
+    k, gr = s.group.exponent(), s.group
+    bound = 2 * (max(degree_sequence(base), default=0) + 1) ** (base.n * gr.order())
+    phi, b = cyclotomic_poly(k), 1
+    while (modulus := sum(c << (b * i) for i, c in enumerate(phi))) <= bound:
+        b += 1
+    images = []
+    for chi in characters(gr):
+        m = [[0] * base.n for _ in range(base.n)]
+        for (i, j), g in s.assignments.items():
+            e = chi.root_exponent(g)
+            m[i - 1][j - 1] = pow(2**b, e, modulus)
+            m[j - 1][i - 1] = pow(2**b, -e % k, modulus)
+        images.append(m)
+    return images
+
+
+@pytest.mark.parametrize("gr", LIFT_GROUPS, ids=_group_id)
+def test_conjugate_character_image_is_the_transpose(gr):
+    rng = random.Random(f"conjugate/{gr.orders}")
+    chars, k = characters(gr), gr.exponent()
+    for n in (2, 4, 6, 7):
+        base = _random_base(rng, n, 0.6)
+        s = _random_signature(base, gr, rng)
+        images = _character_images(base, s)
+        for pos, chi in enumerate(chars):
+            # the conjugate takes every element to the inverse root of unity
+            (conj,) = [
+                q for q, psi in enumerate(chars)
+                if all(psi.root_exponent(g) == -chi.root_exponent(g) % k for g in gr.elements())
+            ]
+            assert conj == gr.index(inverse(gr, chi.index))
+            assert images[conj] == [list(col) for col in zip(*images[pos])]
+            assert berkowitz_charpoly(images[conj]) == berkowitz_charpoly(images[pos])
+
+
+def test_verify_decomposition_takes_one_factor_per_conjugate_pair(monkeypatch):
+    calls = []
+
+    def counted(matrix, *args):
+        calls.append(len(matrix))
+        return berkowitz_charpoly(matrix, *args)
+
+    monkeypatch.setattr(spectra, "berkowitz_charpoly", counted)
+    rng = random.Random(76)
+    stated = {(12,): 7, (3, 3): 5, (2, 4): 6, (2, 2, 2): 8}
+    for gr in LIFT_GROUPS:
+        # chi is its own conjugate iff its index has order 1 or 2
+        own = sum(inverse(gr, e) == e for e in gr.elements())
+        pairs = (gr.order() + own) // 2
+        assert pairs == stated.get(gr.orders, pairs)
+        base = _random_base(rng, 6, 0.6)
+        s = _random_signature(base, gr, rng)
+        calls.clear()
+        report = verify_decomposition(base, s)
+        assert calls == [base.n] * pairs, gr.orders
+        assert report.holds
+        assert report.product_poly == cyclotomic_product(base, s)
