@@ -7,7 +7,9 @@ the signatures in graphlifts.lifts.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from math import isqrt
 
 
 class GraphError(ValueError):
@@ -125,6 +127,8 @@ def degree_sequence(g: Graph) -> list[int]:
 
 
 _G6_HEADER = ">>graph6<<"
+_G6_OUTSIDE = re.compile("[^?-~]")  # any character but 63..126
+_G6_BITS = str.maketrans({chr(63 + x): format(x, "06b") for x in range(64)})
 
 
 def _g6_sextets(g: Graph) -> list[int]:
@@ -166,6 +170,10 @@ def parse_graph6(text: str) -> Graph:
     """Decode a graph6 string; raises MalformedGraph6 with a byte offset.
 
     The optional leading '>>graph6<<' marker used by .g6 files is accepted.
+    The body is spelled out as one string of its bits, six per byte, and
+    only its set bits are visited: bit k of the column-major upper triangle
+    lies in column j, the largest with j(j - 1)/2 <= k, and row
+    k - j(j - 1)/2 (both 0-based).
     """
     base = 0
     if text.startswith(_G6_HEADER):
@@ -173,10 +181,9 @@ def parse_graph6(text: str) -> Graph:
         text = text[base:]
     if not text:
         raise MalformedGraph6("empty graph6 string", base)
-    for k, ch in enumerate(text):
-        o = ord(ch)
-        if not 63 <= o <= 126:
-            raise MalformedGraph6(f"byte {o!r} outside graph6 range 63..126", base + k)
+    bad = _G6_OUTSIDE.search(text)
+    if bad:
+        raise MalformedGraph6(f"byte {ord(bad.group())!r} outside graph6 range 63..126", base + bad.start())
     if text[0] != "~":
         n = ord(text[0]) - 63
         body_at = 1
@@ -194,21 +201,18 @@ def parse_graph6(text: str) -> Graph:
         raise MalformedGraph6(f"body has {len(body)} bytes, expected {need}", base + len(text))
     if len(body) > need:
         raise MalformedGraph6(f"trailing data after {need} body bytes", base + body_at + need)
+    bits = body.translate(_G6_BITS)
+    # the final sextet must be zero-padded
+    padding = bits.find("1", nbits)
+    if padding >= 0:
+        raise MalformedGraph6("nonzero padding bit", base + body_at + padding // 6)
     pairs = []
-    idx = 0
-    for j in range(2, n + 1):
-        for i in range(1, j):
-            byte = ord(body[idx // 6]) - 63
-            if (byte >> (5 - idx % 6)) & 1:
-                pairs.append((i, j))
-            idx += 1
-    # The final sextet must be zero-padded.
-    while idx < 6 * need:
-        byte = ord(body[idx // 6]) - 63
-        if (byte >> (5 - idx % 6)) & 1:
-            raise MalformedGraph6("nonzero padding bit", base + body_at + idx // 6)
-        idx += 1
-    return from_edge_list(n, pairs)
+    k = bits.find("1")
+    while k >= 0:
+        j = (1 + isqrt(1 + 8 * k)) // 2
+        pairs.append((k - j * (j - 1) // 2 + 1, j + 1))
+        k = bits.find("1", k + 1)
+    return Graph(n, tuple(sorted(pairs)))
 
 
 def _strip_comment(line: str) -> str:

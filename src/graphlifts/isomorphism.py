@@ -20,9 +20,12 @@ vertex is placed and the partial string is the whole string.
 Two leaves with equal strings give an automorphism: the permutation that
 carries one leaf's vertex order onto the other's. The search records these
 and prunes with them, after McKay & Piperno, "Practical graph isomorphism,
-II" (J. Symb. Comput. 60, 2014). At each node, the recorded automorphisms
-that fix the node's path of individualized vertices are joined into orbits,
-and a child in the orbit of a sibling explored before it is skipped. When a
+II" (J. Symb. Comput. 60, 2014). Each node keeps the recorded automorphisms
+that fix its path of individualized vertices, the ones its parent kept that
+also fix its own vertex, and joins them into orbits in a union-find whose
+roots are the least vertices of their orbits; after each child it folds in
+only the automorphisms recorded since. A child in the orbit of a sibling
+explored before it is skipped. When a
 leaf equals the best one, the rest of its branch at the depth where its path
 parts from the best leaf's path is skipped too: the automorphism carries the
 best leaf's branch, explored in full, onto that branch. Refinement commutes
@@ -32,10 +35,27 @@ order than its preimage. The pruned search therefore returns the same best
 string and the same first leaf reaching it, hence the same edges and
 relabeling, as the search without pruning.
 
+Isomorphism takes one canonical form in full and searches the other graph
+in target mode, with the first graph's string T as the target, after McKay
+& Piperno's test. The search is the same, with two early exits. A node whose
+prefix is less than T's prefix of the same length has only leaves below it
+whose strings are less than T, so the second graph's canonical string is
+less than T and the graphs are not isomorphic. A leaf whose string equals T
+proves them isomorphic, so T is also the second graph's least string; the
+search took exactly the steps of the full search until that leaf, which is
+therefore the first leaf reaching the least string, the one the full search
+returns, with the same relabeling. The nodes explored are thus an initial
+segment of the full search's. Nodes whose prefix exceeds T's are not pruned:
+the search would then reach no leaves, record no automorphisms and explore
+every node whose prefix matches T's.
+
 Disconnected graphs are canonicalized one connected component at a time and
 the component forms concatenated in a fixed invariant order; lifts are often
 disjoint unions of isomorphic copies, and per-component search keeps those
-out of the factorial worst case. Graphs above the vertex ceiling are refused.
+out of the factorial worst case. In target mode each component's target is
+the least string of the first graph's components of its vertex count, and a
+component of a count they lack means the graphs are not isomorphic. Graphs
+above the vertex ceiling are refused.
 """
 
 from __future__ import annotations
@@ -201,7 +221,15 @@ def canonical_form(g: Graph) -> CanonicalForm:
     return _canonical_connected(g)
 
 
-def _concatenate_components(g: Graph, comps: list[list[int]]) -> CanonicalForm:
+def _concatenate_components(
+    g: Graph, comps: list[list[int]], targets: dict[int, tuple[int, ...]] | None = None
+) -> CanonicalForm | None:
+    """Canonical form of a disconnected graph from its components' forms.
+    Given `targets`, each component is searched in target mode against the
+    target of its vertex count, and None means the graph is not isomorphic
+    to the one the targets come from."""
+    if targets is not None and any(len(comp) not in targets for comp in comps):
+        return None
     by_vertex = {}
     for idx, comp in enumerate(comps):
         for v in comp:
@@ -213,7 +241,10 @@ def _concatenate_components(g: Graph, comps: list[list[int]]) -> CanonicalForm:
     for idx, comp in enumerate(comps):
         local = {v: k + 1 for k, v in enumerate(comp)}
         sub = from_edge_list(len(comp), [(local[i], local[j]) for i, j in comp_edges[idx]])
-        pieces.append((comp, local, _canonical_connected(sub)))
+        form = _canonical_connected(sub) if targets is None else _canonical_connected(sub, targets[len(comp)])
+        if form is None:
+            return None
+        pieces.append((comp, local, form))
     # order components by an isomorphism-invariant key; equal keys mean
     # identical forms, so the concatenation does not depend on tie order
     pieces.sort(key=lambda p: (p[2].n, p[2].edges))
@@ -228,7 +259,29 @@ def _concatenate_components(g: Graph, comps: list[list[int]]) -> CanonicalForm:
     return CanonicalForm(g.n, tuple(sorted(edges)), tuple(relabeling))
 
 
-def _canonical_connected(g: Graph) -> CanonicalForm:
+def _find(rep: list[int], v: int) -> int:
+    while rep[v] != v:
+        rep[v] = rep[rep[v]]
+        v = rep[v]
+    return v
+
+
+def _join(rep: list[int], gamma: list[int]) -> None:
+    """Merge the classes of the union-find `rep` that the permutation gamma
+    joins; every class keeps its least vertex as its root."""
+    for v, w in enumerate(gamma):
+        if v != w:
+            a, b = _find(rep, v), _find(rep, w)
+            if a < b:
+                rep[b] = a
+            elif b < a:
+                rep[a] = b
+
+
+def _canonical_connected(g: Graph, target: tuple[int, ...] | None = None) -> CanonicalForm | None:
+    """Canonical form of a connected graph. Given the leaf string `target`
+    of a graph of the same order, stop at the first leaf that reaches it, or
+    return None as soon as a node's prefix is less than the target's."""
     n = g.n
     if len(g.edges) == n * (n - 1) // 2:
         # complete graph: every ordering yields the same all-ones string
@@ -241,31 +294,17 @@ def _canonical_connected(g: Graph) -> CanonicalForm:
     # leaf's vertex order onto the order of a later leaf with the same string
     automorphisms: list[list[int]] = []
 
-    def orbits(path: list[int]) -> list[int]:
-        """Orbit representative of every vertex under the recorded
-        automorphisms that fix each vertex of `path`."""
-        rep = list(range(n))
-
-        def find(v: int) -> int:
-            while rep[v] != v:
-                rep[v] = rep[rep[v]]
-                v = rep[v]
-            return v
-
-        for gamma in automorphisms:
-            if all(gamma[p] == p for p in path):
-                for v in range(n):
-                    a, b = find(v), find(gamma[v])
-                    if a != b:
-                        rep[max(a, b)] = min(a, b)
-        return [find(v) for v in range(n)]
-
-    def search(colors: list[int], path: list[int], prefix: tuple[int, ...], placed: int) -> int | None:
+    def search(
+        colors: list[int], path: list[int], prefix: tuple[int, ...], placed: int, fixing: list[list[int]]
+    ) -> int | None:
         """Explore the node reached by individualizing the vertices of
         `path` in turn; `prefix` and `placed` are its _prefix_bits, which at
-        a leaf are the whole string and n. Returns None, or, after a leaf
-        equal to the best one, the depth where the two leaves' paths part,
-        to resume there."""
+        a leaf are the whole string and n, and `fixing` holds the recorded
+        automorphisms that fix every vertex of `path` but the last. Returns
+        None, or, after a leaf equal to the best one, the depth where the two
+        leaves' paths part, to resume there; -1 ends the search."""
+        if target is not None and prefix < target[: len(prefix)]:
+            return -1
         if best["bits"] is not None and prefix > best["bits"][: len(prefix)]:
             return None
         if placed == n:
@@ -273,6 +312,8 @@ def _canonical_connected(g: Graph) -> CanonicalForm:
                 best["bits"] = prefix
                 best["colors"] = list(colors)
                 best["path"] = path
+                if prefix == target:
+                    return -1
             elif prefix == best["bits"]:
                 order = [0] * n
                 for v, c in enumerate(colors):
@@ -286,8 +327,12 @@ def _canonical_connected(g: Graph) -> CanonicalForm:
         # Members of one orbit root images of one subtree and share their
         # prefix bits, so the least of them sorts first and only it is
         # individualized; orbits grow as siblings find automorphisms.
-        orbit = orbits(path)
-        members = sorted(v for v in range(n) if colors[v] == placed and orbit[v] == v)
+        if path:
+            fixing = [gamma for gamma in fixing if gamma[path[-1]] == path[-1]]
+        rep = list(range(n))
+        for gamma in fixing:
+            _join(rep, gamma)
+        members = sorted(v for v in range(n) if colors[v] == placed and _find(rep, v) == v)
         children = []
         for v in members:
             child = _individualize(n, adj, colors, v)
@@ -296,19 +341,24 @@ def _canonical_connected(g: Graph) -> CanonicalForm:
         explored: list[int] = []
         seen_automorphisms = len(automorphisms)
         for child_prefix, child_placed, v, child in children:
-            if len(automorphisms) > seen_automorphisms:
-                seen_automorphisms = len(automorphisms)
-                orbit = orbits(path)
-            if any(orbit[u] == orbit[v] for u in explored):
+            for gamma in automorphisms[seen_automorphisms:]:
+                if all(gamma[p] == p for p in path):
+                    fixing.append(gamma)
+                    _join(rep, gamma)
+            seen_automorphisms = len(automorphisms)
+            orbit = _find(rep, v)
+            if any(_find(rep, u) == orbit for u in explored):
                 continue
             explored.append(v)
-            back = search(child, path + [v], child_prefix, child_placed)
+            back = search(child, path + [v], child_prefix, child_placed, fixing)
             if back is not None and back < len(path):
                 return back
         return None
 
     root = _refine(n, adj, [0] * n)
-    search(root, [], *_prefix_bits(n, adj_sets, root))
+    # the search ends early at a leaf equal to the target or at a prefix below it
+    if search(root, [], *_prefix_bits(n, adj_sets, root), []) == -1 and best["bits"] != target:
+        return None
     colors = best["colors"]
     relabeling = tuple(colors[v] + 1 for v in range(n))
     edges = sorted(
@@ -318,12 +368,26 @@ def _canonical_connected(g: Graph) -> CanonicalForm:
     return CanonicalForm(n, tuple(edges), relabeling)
 
 
+def _component_strings(form: CanonicalForm):
+    """(vertex count, leaf string) of each connected component of a
+    canonical form. The components hold consecutive labels, and each one's
+    column-major upper-triangle bits are the string its search reached."""
+    edges = set(form.edges)
+    for comp in _components(Graph(form.n, form.edges)):
+        low = comp[0]
+        yield len(comp), tuple((i, j) in edges for j in comp for i in range(low, j))
+
+
 def are_isomorphic(g: Graph, h: Graph) -> tuple[bool, tuple[int, ...] | None]:
     """Decide isomorphism; on success also return the certifying bijection,
     as a tuple whose (v - 1)-th entry is the image in h of vertex v of g.
 
-    The bijection is validated by direct edge-set comparison before being
-    returned.
+    g's canonical form is computed in full; h is searched in target mode,
+    each component against the least of g's component strings of its vertex
+    count, until a leaf meets it or a smaller prefix proves that none can.
+    The verdict and the bijection are those of comparing the two full
+    canonical forms. The bijection is validated by direct edge-set
+    comparison before being returned.
     """
     for graph in (g, h):
         if graph.n > SIZE_CEILING:
@@ -332,8 +396,17 @@ def are_isomorphic(g: Graph, h: Graph) -> tuple[bool, tuple[int, ...] | None]:
         return False, None
     if degree_sequence(g) != degree_sequence(h):
         return False, None
-    cg, ch = canonical_form(g), canonical_form(h)
-    if cg.edges != ch.edges:
+    cg = canonical_form(g)
+    targets: dict[int, tuple[int, ...]] = {}
+    for k, string in _component_strings(cg):
+        if k not in targets or string < targets[k]:
+            targets[k] = string
+    comps = _components(h)
+    if len(comps) == 1:
+        ch = _canonical_connected(h, targets[h.n]) if h.n in targets else None
+    else:
+        ch = _concatenate_components(h, comps, targets)
+    if ch is None or cg.edges != ch.edges:
         return False, None
     inverse_h = [0] * h.n
     for v in range(1, h.n + 1):

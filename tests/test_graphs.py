@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -137,6 +138,18 @@ def test_graph6_long_form():
     assert parse_graph6(text) == g
 
 
+@pytest.mark.parametrize("n", [62, 63, 128])
+def test_graph6_roundtrip_across_the_long_header(n):
+    # 62 is the last size with the one-byte header, 63 the first with '~'
+    rng = random.Random(n)
+    pool = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    for density in (0.0, 0.05, 0.5, 1.0):
+        g = from_edge_list(n, [e for e in pool if rng.random() < density])
+        text = emit_graph6(g)
+        assert text.startswith("~") == (n > 62)
+        assert parse_graph6(text) == g
+
+
 def test_parse_graph6_error_offsets():
     with pytest.raises(MalformedGraph6) as exc:
         parse_graph6("A" + chr(1))
@@ -145,6 +158,16 @@ def test_parse_graph6_error_offsets():
         parse_graph6("A")  # truncated body
     with pytest.raises(MalformedGraph6):
         parse_graph6("")
+    # n = 5: ten bits in two body bytes, the last two bits padding; n = 63
+    # ('~' header): 1,953 bits in 326 body bytes, the last three padding
+    for text, offset in (("D?@", 2), (">>graph6<<D?@", 12), ("~??~" + "?" * 325 + "@", 329)):
+        with pytest.raises(MalformedGraph6, match="nonzero padding bit") as exc:
+            parse_graph6(text)
+        assert exc.value.offset == offset
+    for text, offset in (("D???", 3), (">>graph6<<D???", 13), ("~??~" + "?" * 327, 330)):
+        with pytest.raises(MalformedGraph6, match="trailing data") as exc:
+            parse_graph6(text)
+        assert exc.value.offset == offset
 
 
 @given(random_graph_strategy())

@@ -2,7 +2,7 @@ import hashlib
 import random
 import time
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
 
 import networkx as nx
 import pytest
@@ -10,7 +10,7 @@ import pytest
 from graphlifts import fixtures, isomorphism
 from graphlifts.algebra import AbelianGroup, compose, inverse
 from graphlifts.cli import main
-from graphlifts.graphs import Graph, emit_edge_list, from_edge_list, neighbor_lists
+from graphlifts.graphs import Graph, degree_sequence, emit_edge_list, from_edge_list, neighbor_lists
 from graphlifts.isomorphism import (
     TooLarge,
     are_isomorphic,
@@ -517,3 +517,197 @@ def test_graphs_at_the_size_ceiling_finish_within_the_stated_bound():
     for g in graphs:
         assert canonical_form(g).edges == canonical_form(_shuffled(g, rng)).edges
     assert time.perf_counter() - start < 5.0
+
+
+# sum over the search of _individualize calls of canonical_form on the seeded
+# relabeling of each graph of PIN_GRAPHS, measured at the commit before the
+# orbits were folded in incrementally: the same children must be skipped.
+PINNED_INDIVIDUALIZE_CALLS = {
+    "C64": 70,
+    "Q5": 66,
+    "Q6": 106,
+    "K11 minus two edges": 67,
+    "G over Z4": 16,
+    "G over Z6": 23,
+    "G over Z2xZ4": 33,
+    "H over Z4": 19,
+    "H over Z6": 49,
+    "H over Z2xZ4": 36,
+}
+
+
+def _counting_individualize(monkeypatch):
+    calls = [0]
+    individualize = isomorphism._individualize
+
+    def counting(*args):
+        calls[0] += 1
+        return individualize(*args)
+
+    monkeypatch.setattr(isomorphism, "_individualize", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", PINNED_INDIVIDUALIZE_CALLS)
+def test_individualize_calls_are_pinned(name, monkeypatch):
+    g = _pinned_relabeling(name)
+    calls = _counting_individualize(monkeypatch)
+    canonical_form(g)
+    assert calls[0] == PINNED_INDIVIDUALIZE_CALLS[name]
+
+
+# --- target mode ------------------------------------------------------------
+
+
+def _mapping_from_full_forms(g, h):
+    """are_isomorphic's answer from two full canonical_form calls: the
+    search that target mode must reproduce."""
+    if g.n != h.n or len(g.edges) != len(h.edges) or degree_sequence(g) != degree_sequence(h):
+        return False, None
+    cg, ch = canonical_form(g), canonical_form(h)
+    if cg.edges != ch.edges:
+        return False, None
+    inverse_h = {label: v for v, label in enumerate(ch.relabeling, start=1)}
+    return True, tuple(inverse_h[label] for label in cg.relabeling)
+
+
+def _disjoint_union(parts):
+    edges, offset = [], 0
+    for part in parts:
+        edges.extend((i + offset, j + offset) for i, j in part.edges)
+        offset += part.n
+    return from_edge_list(offset, edges)
+
+
+def _edge_swapped(g, rng):
+    """g after a few degree-preserving swaps {a, b}, {c, d} -> {a, d}, {c, b}."""
+    edges = set(g.edges)
+    for _ in range(rng.randint(1, 3)):
+        if len(edges) < 2:
+            break
+        (a, b), (c, d) = rng.sample(sorted(edges), 2)
+        new = {(min(a, d), max(a, d)), (min(c, b), max(c, b))}
+        if len({a, b, c, d}) == 4 and not new & edges:
+            edges -= {(a, b), (c, d)}
+            edges |= new
+    return from_edge_list(g.n, edges)
+
+
+def _target_mode_pairs(rng):
+    """Seeded (g, h) pairs, isomorphic and not: random graphs, connected
+    and with components of equal and of different sizes, against a
+    relabeling and against degree-preserving swaps; lifts of the bundled
+    bases over Z2..Z6 against a gauge-switched lift and a lift of another
+    signature."""
+    for k in range(120):
+        if k % 3 == 0:
+            g = random_graph(rng, n_lo=4, n_hi=12)
+        elif k % 3 == 1:
+            g = _disjoint_union([random_graph(rng, n_lo=1, n_hi=6) for _ in range(rng.randint(2, 4))])
+        else:
+            part = random_graph(rng, n_lo=2, n_hi=5, p=0.6)
+            other = random_graph(rng, n_lo=part.n, n_hi=part.n, p=0.6)
+            g = _disjoint_union([part, _shuffled(part, rng), other, random_graph(rng, n_lo=1, n_hi=4)])
+        yield g, _shuffled(g, rng)
+        yield g, _shuffled(_edge_swapped(g, rng), rng)
+    for base in (fixtures.BASE_G, fixtures.BASE_H):
+        for order in range(2, 7):
+            gr = AbelianGroup((order,))
+            for _ in range(3):
+                sig = _random_signature(base, gr, rng)
+                lift = build_lift(base, sig)
+                yield lift, _shuffled(build_lift(base, _gauge_switched(sig, rng)), rng)
+                yield lift, _shuffled(build_lift(base, _random_signature(base, gr, rng)), rng)
+
+
+def test_target_mode_gives_the_answer_of_two_full_searches():
+    verdicts = Counter()
+    for g, h in _target_mode_pairs(random.Random(14)):
+        for a, b in ((g, h), (h, g)):
+            answer = are_isomorphic(a, b)
+            assert answer == _mapping_from_full_forms(a, b)
+            verdicts[answer[0]] += 1
+    assert verdicts[True] > 300 and verdicts[False] > 100
+
+
+def test_target_mode_individualizes_no_more_than_two_full_searches(monkeypatch):
+    calls = _counting_individualize(monkeypatch)
+    saved = 0
+    for g, h in _target_mode_pairs(random.Random(15)):
+        calls[0] = 0
+        canonical_form(g)
+        canonical_form(h)
+        full = calls[0]
+        calls[0] = 0
+        are_isomorphic(g, h)
+        assert calls[0] <= full
+        saved += full - calls[0]
+    assert saved > 0
+
+
+def _rook_and_shrikhande():
+    """The 4x4 rook's graph and the Shrikhande graph on Z4 x Z4: both
+    srg(16, 6, 2, 2), not isomorphic."""
+    cells = [(a, b) for a in range(4) for b in range(4)]
+    pairs = list(combinations(range(16), 2))
+    rook = from_edge_list(
+        16, [(i + 1, j + 1) for i, j in pairs if cells[i][0] == cells[j][0] or cells[i][1] == cells[j][1]]
+    )
+    steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+    shrikhande = from_edge_list(
+        16,
+        [
+            (i + 1, j + 1)
+            for i, j in pairs
+            if ((cells[i][0] - cells[j][0]) % 4, (cells[i][1] - cells[j][1]) % 4) in steps
+        ],
+    )
+    return rook, shrikhande
+
+
+def _triangular_and_chang():
+    """The triangular graph T(8) and the Chang graph got from it by Seidel
+    switching on the four pairs of a perfect matching of K8: both
+    srg(28, 12, 6, 4), not isomorphic."""
+    pairs = list(combinations(range(8), 2))
+    t8 = from_edge_list(
+        28, [(i + 1, j + 1) for i, j in combinations(range(28), 2) if set(pairs[i]) & set(pairs[j])]
+    )
+    switched = {pairs.index(p) + 1 for p in ((0, 1), (2, 3), (4, 5), (6, 7))}
+    edges = set(t8.edges)
+    chang = from_edge_list(
+        28,
+        [
+            (i, j)
+            for i, j in combinations(range(1, 29), 2)
+            if ((i, j) in edges) != ((i in switched) != (j in switched))
+        ],
+    )
+    return t8, chang
+
+
+def _srg_parameters(g):
+    adj = [set(row) for row in neighbor_lists(g)]
+    return (
+        g.n,
+        {len(row) for row in adj},
+        {len(adj[u] & adj[v]) for u, v in combinations(range(g.n), 2) if v in adj[u]},
+        {len(adj[u] & adj[v]) for u, v in combinations(range(g.n), 2) if v not in adj[u]},
+    )
+
+
+@pytest.mark.parametrize(
+    "pair, parameters",
+    [(_rook_and_shrikhande, (16, {6}, {2}, {2})), (_triangular_and_chang, (28, {12}, {6}, {4}))],
+)
+def test_strongly_regular_pairs_with_equal_parameters_finish_within_the_stated_bound(pair, parameters):
+    """Refinement cannot split a strongly regular graph, so only the search
+    tells these pairs apart: each verdict, in both argument orders against
+    a seeded relabeling, finishes in under 1 s."""
+    a, b = pair()
+    assert _srg_parameters(a) == _srg_parameters(b) == parameters
+    rng = random.Random(parameters[0])
+    for g, h in ((a, b), (b, a)):
+        start = time.perf_counter()
+        assert are_isomorphic(g, _shuffled(h, rng)) == (False, None)
+        assert time.perf_counter() - start < 1.0
