@@ -1,21 +1,31 @@
 """Exact isomorphism testing via canonical forms for small graphs.
 
-The canonical form is found by iterated color refinement plus backtracking
-over color-class orderings. Each round of refinement splits a class by its
-members' sorted neighbour labels, the pieces in profile order (never in
-first-seen order), so the refinement itself is relabeling-invariant. A class
-is labelled by its last position in the ordered partition, which it keeps
-while it does not split, so a round re-profiles only the vertices next to
-one whose label moved in the round before. The backtracking individualizes
-one vertex of the first non-singleton class at a time and keeps the
-lexicographically smallest adjacency bit-string over all discrete labelings
-reached, reading the upper triangle in column-major order so that a prefix
-of placed vertices determines a prefix of the string. Ties inside a class
-are explored smallest-partial-string first, and branches whose partial
-string already exceeds the best known are pruned. Each node's partial string
-is computed once, when its parent sorts its children, by extending the
-parent's with the columns of the newly placed vertices; at a leaf every
-vertex is placed and the partial string is the whole string.
+The canonical form is found by colour refinement plus backtracking. A
+search node holds one ordered partition of the vertices as three lists:
+`order`, the vertices by position; `label[v]`, the last position of v's
+cell; and `start[e]`, the first position of the cell that ends at e. The
+root's first round orders the cells by degree, ascending. Each later round
+splits a cell next to a vertex that moved in the round before by its
+members' sorted moved-neighbour labels with n appended, the pieces in key
+order, and the last piece keeps the cell's label. That splits the cell as
+its members' full sorted neighbour labels would, in the same order: members
+of a cell shared their profile a round ago, and a moved label lies strictly
+inside its old cell's range, where no unmoved label lies, so two members'
+full tuples first differ at a moved label, and there the keys compare alike:
+more copies of a smaller label sort first, and a key that runs out meets n
+and sorts after. Members with no moved neighbour have the key (n,), so they
+form the last piece and never move. Pieces never come in first-seen
+order, so refinement is relabeling-invariant. The backtracking
+individualizes one vertex of the first non-singleton cell at a time and
+keeps the lexicographically smallest adjacency bit-string over all discrete
+partitions reached, reading the upper triangle in column-major order so
+that a prefix of placed vertices determines a prefix of the string. Ties
+inside a cell are explored smallest-partial-string first, and branches whose
+partial string already exceeds the best known are pruned. Each node's
+partial string is computed once, when its parent sorts its children, by
+extending the parent's with the columns of the newly placed vertices; at a
+leaf every vertex is placed, the partial string is the whole string, and
+the labels are the positions.
 
 Two leaves with equal strings give an automorphism: the permutation that
 carries one leaf's vertex order onto the other's. The search records these
@@ -61,11 +71,13 @@ above the vertex ceiling are refused.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 
 from .graphs import Graph, degree_sequence, from_edge_list, neighbor_lists
 
 SIZE_CEILING = 128
+
+# (label, start, order): an ordered partition, as the module docstring says
+Cells = tuple[list[int], list[int], list[int]]
 
 
 class TooLarge(ValueError):
@@ -85,104 +97,93 @@ class CanonicalForm:
     relabeling: tuple[int, ...]
 
 
-def _refine(
-    n: int, adj: list[list[int]], colors: list[int], changed: list[int] | None = None
-) -> list[int]:
-    """Refine `colors` until every vertex of a class has the same multiset
-    of neighbour classes; return the classes as dense ranks.
-
-    Each round splits every class by the sorted tuple of its members'
-    neighbour labels, the pieces in tuple order. A class is labelled by its
-    last position in the ordered partition. That labelling keeps the order
-    of the dense ranks, and a class keeps its label while it does not split,
-    as does the last piece of one that does. So a vertex can get a new
-    profile only next to a vertex whose label moved in the round before, and
-    the other members of its class all keep the profile the class had.
-    `changed`, if given, names a superset of the vertices whose labels
-    differ from a stable colouring that `colors` refines; the first round
-    then starts from their neighbours.
-    """
-    last = {c: position for position, c in enumerate(sorted(colors))}
-    label = [last[c] for c in colors]
-    cells: dict[int, set[int]] = {}
-    for v, x in enumerate(label):
-        cells.setdefault(x, set()).add(v)
-    moved = range(n) if changed is None else changed
+def _refine(adj: list[list[int]], cells: Cells, moved: list[int]) -> None:
+    """Refine `cells` in place until every member of a cell has the same
+    multiset of neighbour labels, splitting cells by the key the module
+    docstring gives. The members of each cell must share that multiset as of
+    the labels before the vertices of `moved` moved, each to a piece of its
+    cell ahead of the piece that kept the cell's label."""
+    label, start, order = cells
+    n = len(order)
     while moved:
-        touched: dict[int, set[int]] = {}
+        hits: dict[int, dict[int, list[int]]] = {}
         for w in moved:
+            x = label[w]
             for u in adj[w]:
-                touched.setdefault(label[u], set()).add(u)
-        splits = []
-        for end, hit in touched.items():
-            cell = cells[end]
-            if len(cell) == 1:
-                continue
-            profile = {v: tuple(sorted([label[u] for u in adj[v]])) for v in hit}
-            keys = set(profile.values())
-            rest_key = None
-            if len(hit) < len(cell):
-                rest = next(v for v in cell if v not in hit)
-                rest_key = tuple(sorted([label[u] for u in adj[rest]]))
-                keys.add(rest_key)
-            if len(keys) > 1:
-                splits.append((end, cell, hit, profile, sorted(keys), rest_key))
+                e = label[u]
+                if start[e] != e:
+                    hits.setdefault(e, {}).setdefault(u, []).append(x)
         moved = []
-        for end, cell, hit, profile, keys, rest_key in splits:
-            pieces: dict[tuple[int, ...], list[int]] = {key: [] for key in keys}
-            for v, key in profile.items():
-                pieces[key].append(v)
-            if rest_key is not None and rest_key != keys[-1]:
-                pieces[rest_key].extend(v for v in cell if v not in hit)
-            # every piece but the last leaves the cell, which keeps its label
-            at = end - len(cell)
-            for key in keys[:-1]:
-                piece = pieces[key]
-                at += len(piece)
-                cells[at] = set(piece)
-                cell.difference_update(piece)
-                for v in piece:
-                    label[v] = at
+        for e, hit in hits.items():
+            s = start[e]
+            pieces: dict[tuple[int, ...], list[int]] = {}
+            for u, labels in hit.items():
+                labels.sort()
+                labels.append(n)
+                pieces.setdefault(tuple(labels), []).append(u)
+            groups = [pieces[key] for key in sorted(pieces)]
+            if len(hit) <= e - s:
+                groups.append([u for u in order[s : e + 1] if u not in hit])
+            if len(groups) == 1:
+                continue
+            for piece in groups[:-1]:
+                order[s : s + len(piece)] = piece
+                start[s + len(piece) - 1] = s
+                s += len(piece)
+                for u in piece:
+                    label[u] = s - 1
                 moved.extend(piece)
-    rank = {end: i for i, end in enumerate(sorted(cells))}
-    return [rank[x] for x in label]
+            order[s : e + 1] = groups[-1]
+            start[e] = s
 
 
-def _individualize(n: int, adj: list[list[int]], colors: list[int], v: int) -> list[int]:
-    """Split v off its class, ahead of the rest of it, and refine. The
-    colours are dense ranks (every _refine output is) and v's class has
-    other members, so v keeps its colour c, the rest of its class takes
-    c + 1 and every later colour moves up by one. By last positions, the
-    rest of the class keeps its label, so only v's label moves."""
-    c = colors[v]
-    return _refine(n, adj, [x + (x > c or (x == c and u != v)) for u, x in enumerate(colors)], [v])
+def _root(adj: list[list[int]]) -> Cells:
+    """The refined partition of the unit colouring. Its first round splits
+    the one cell by degree, the pieces in ascending order."""
+    n = len(adj)
+    order = sorted(range(n), key=lambda v: len(adj[v]))
+    last = {len(adj[v]): p for p, v in enumerate(order)}
+    label = [last[len(row)] for row in adj]
+    start = [0] * n
+    for p in reversed(range(n)):
+        start[label[order[p]]] = p
+    cells = (label, start, order)
+    _refine(adj, cells, order[: start[n - 1]])
+    return cells
+
+
+def _individualize(adj: list[list[int]], cells: Cells, v: int) -> Cells:
+    """A refined copy of `cells` with v split off its cell, ahead of the
+    rest of it: v moves to the cell's first position and the rest keeps the
+    cell's label."""
+    label, start, order = cells[0][:], cells[1][:], cells[2][:]
+    e = label[v]
+    s = start[e]
+    i = order.index(v, s, e + 1)
+    order[i], order[s] = order[s], v
+    label[v] = start[s] = s
+    start[e] = s + 1
+    child = (label, start, order)
+    _refine(adj, child, [v])
+    return child
 
 
 def _prefix_bits(
-    n: int, adj_sets: list[set[int]], colors: list[int], parent: tuple[int, ...] = ()
+    adj_sets: list[set[int]], cells: Cells, parent: tuple[int, ...] = (), placed: int = 0
 ) -> tuple[tuple[int, ...], int]:
-    """Column-major upper-triangle bits among the leading singleton classes,
-    and the number of those classes: n if the colouring is discrete, else
-    the first class of more than one vertex (colours are dense ranks).
+    """Column-major upper-triangle bits among the leading singleton cells,
+    and the number of those cells: n if the partition is discrete, else
+    the first position of a cell of more than one vertex.
 
-    `parent` may be the prefix bits of a colouring that `colors` refines
-    with its leading singletons kept in place, as _individualize does:
-    then the placed vertices extend the parent's, and only the new columns
-    are computed."""
-    counts = [0] * n
-    order = [0] * n
-    for v, c in enumerate(colors):
-        counts[c] += 1
-        order[c] = v
-    placed = 0
-    while placed < n and counts[placed] == 1:
-        placed += 1
-    # k placed vertices give k(k-1)/2 bits; a parent with no bits placed at
-    # most one vertex, and column 0 has no bits either way
-    known = (1 + isqrt(1 + 8 * len(parent))) // 2
+    `parent` and `placed` may be the result for a partition that `cells`
+    refines, as _individualize does, whose singleton cells keep their
+    positions: only the columns of the newly placed vertices are computed."""
+    label, _, order = cells
     bits = list(parent)
-    for j in range(known, placed):
-        bits.extend(map(adj_sets[order[j]].__contains__, order[:j]))
+    n = len(order)
+    while placed < n and label[order[placed]] == placed:
+        bits.extend(map(adj_sets[order[placed]].__contains__, order[:placed]))
+        placed += 1
     return tuple(bits), placed
 
 
@@ -289,13 +290,13 @@ def _canonical_connected(g: Graph, target: tuple[int, ...] | None = None) -> Can
         return CanonicalForm(n, all_pairs, tuple(range(1, n + 1)))
     adj = neighbor_lists(g)
     adj_sets = [set(row) for row in adj]
-    best: dict = {"bits": None, "colors": None, "path": None}
+    best: dict = {"bits": None, "labels": None, "path": None}
     # automorphisms[k][v] is the image of vertex v; each one maps the best
     # leaf's vertex order onto the order of a later leaf with the same string
     automorphisms: list[list[int]] = []
 
     def search(
-        colors: list[int], path: list[int], prefix: tuple[int, ...], placed: int, fixing: list[list[int]]
+        cells: Cells, path: list[int], prefix: tuple[int, ...], placed: int, fixing: list[list[int]]
     ) -> int | None:
         """Explore the node reached by individualizing the vertices of
         `path` in turn; `prefix` and `placed` are its _prefix_bits, which at
@@ -310,15 +311,12 @@ def _canonical_connected(g: Graph, target: tuple[int, ...] | None = None) -> Can
         if placed == n:
             if best["bits"] is None or prefix < best["bits"]:
                 best["bits"] = prefix
-                best["colors"] = list(colors)
+                best["labels"] = cells[0]
                 best["path"] = path
                 if prefix == target:
                     return -1
             elif prefix == best["bits"]:
-                order = [0] * n
-                for v, c in enumerate(colors):
-                    order[c] = v
-                automorphisms.append([order[c] for c in best["colors"]])
+                automorphisms.append([cells[2][c] for c in best["labels"]])
                 common = 0
                 while best["path"][common] == path[common]:
                     common += 1
@@ -332,11 +330,12 @@ def _canonical_connected(g: Graph, target: tuple[int, ...] | None = None) -> Can
         rep = list(range(n))
         for gamma in fixing:
             _join(rep, gamma)
-        members = sorted(v for v in range(n) if colors[v] == placed and _find(rep, v) == v)
+        label, _, order = cells
+        members = sorted(v for v in order[placed : label[order[placed]] + 1] if _find(rep, v) == v)
         children = []
         for v in members:
-            child = _individualize(n, adj, colors, v)
-            children.append((*_prefix_bits(n, adj_sets, child, prefix), v, child))
+            child = _individualize(adj, cells, v)
+            children.append((*_prefix_bits(adj_sets, child, prefix, placed), v, child))
         children.sort(key=lambda t: (t[0], t[2]))
         explored: list[int] = []
         seen_automorphisms = len(automorphisms)
@@ -355,12 +354,11 @@ def _canonical_connected(g: Graph, target: tuple[int, ...] | None = None) -> Can
                 return back
         return None
 
-    root = _refine(n, adj, [0] * n)
+    root = _root(adj)
     # the search ends early at a leaf equal to the target or at a prefix below it
-    if search(root, [], *_prefix_bits(n, adj_sets, root), []) == -1 and best["bits"] != target:
+    if search(root, [], *_prefix_bits(adj_sets, root), []) == -1 and best["bits"] != target:
         return None
-    colors = best["colors"]
-    relabeling = tuple(colors[v] + 1 for v in range(n))
+    relabeling = tuple(x + 1 for x in best["labels"])
     edges = sorted(
         (min(relabeling[i - 1], relabeling[j - 1]), max(relabeling[i - 1], relabeling[j - 1]))
         for i, j in g.edges

@@ -132,19 +132,58 @@ def test_size_ceiling():
 # --- automorphism pruning ---------------------------------------------------
 
 
+def _full_round(n, adj, colors):
+    """One round that ranks every vertex's whole profile, its colour and its
+    sorted neighbour colours."""
+    profiles = [(colors[v], tuple(sorted(colors[u] for u in adj[v]))) for v in range(n)]
+    rank = {p: i for i, p in enumerate(sorted(set(profiles)))}
+    return [rank[p] for p in profiles]
+
+
 def _refine_by_full_rounds(n, adj, colors):
-    """Colour refinement that ranks every vertex's whole profile, its colour
-    and its sorted neighbour colours, in every round until nothing changes:
-    the refinement that _refine must reproduce exactly."""
+    """Colour refinement by full rounds until nothing changes: the
+    refinement that _refine must reproduce exactly, as dense ranks."""
     while True:
-        profiles = [
-            (colors[v], tuple(sorted(colors[u] for u in adj[v]))) for v in range(n)
-        ]
-        rank = {p: i for i, p in enumerate(sorted(set(profiles)))}
-        new = [rank[p] for p in profiles]
+        new = _full_round(n, adj, colors)
         if new == colors:
             return new
         colors = new
+
+
+def _ranks(cells):
+    """The labels of an ordered partition as dense ranks."""
+    rank = {x: i for i, x in enumerate(sorted(set(cells[0])))}
+    return [rank[x] for x in cells[0]]
+
+
+def _cells_of(colors):
+    """The ordered partition of a colouring, each cell labelled by its last
+    position."""
+    n = len(colors)
+    order = sorted(range(n), key=colors.__getitem__)
+    last = {colors[v]: p for p, v in enumerate(order)}
+    label = [last[c] for c in colors]
+    start = [0] * n
+    for p in reversed(range(n)):
+        start[label[order[p]]] = p
+    return label, start, order
+
+
+def _check_cells(cells, parent=None):
+    """`order` is a permutation and each cell's members fill the positions
+    from its start to its label. Given the partition `parent` it was refined
+    from, every cell lies inside a parent cell, whose label its members that
+    stayed untouched still carry."""
+    label, start, order = cells
+    n = len(order)
+    assert sorted(order) == list(range(n))
+    for i, v in enumerate(order):
+        assert start[label[v]] <= i <= label[v]
+    assert all(label[order[i]] == e for e in set(label) for i in range(start[e], e + 1))
+    if parent is not None:
+        for v in range(n):
+            assert parent[1][parent[0][v]] <= label[v] <= parent[0][v]
+        assert set(parent[0]) <= set(label)
 
 
 def _full_prefix_bits(adj_sets, colors):
@@ -358,24 +397,30 @@ def _individualize_by_ranking(n, adj, colors, v):
 
 
 def test_individualize_equals_ranking_the_split_pairs():
-    # Every colouring here is a _refine output, as in the search: the refined
-    # all-zero start, then one individualization after another down a random
-    # path, checking each member of each class of more than one vertex.
+    # Every partition here is a refined one, as in the search: the root, then
+    # one individualization after another down a random path, checking each
+    # member of each cell of more than one vertex; the parent is left as it
+    # was.
     rng = random.Random(9)
     checked = 0
     for k in range(150):
         g = _random_cubic(12, rng) if k % 3 == 0 else random_graph(rng, n_lo=2, n_hi=12)
         n, adj = g.n, neighbor_lists(g)
-        colors = isomorphism._refine(n, adj, [0] * n)
+        cells = isomorphism._root(adj)
+        _check_cells(cells)
         while True:
+            colors = _ranks(cells)
             split = [v for v in range(n) if colors.count(colors[v]) > 1]
             if not split:
                 break
+            before = [list(x) for x in cells]
             for v in split:
-                expected = _individualize_by_ranking(n, adj, colors, v)
-                assert isomorphism._individualize(n, adj, colors, v) == expected
+                child = isomorphism._individualize(adj, cells, v)
+                _check_cells(child, cells)
+                assert _ranks(child) == _individualize_by_ranking(n, adj, colors, v)
                 checked += 1
-            colors = isomorphism._individualize(n, adj, colors, rng.choice(split))
+            assert [list(x) for x in cells] == before
+            cells = isomorphism._individualize(adj, cells, rng.choice(split))
     assert checked > 1000
 
 
@@ -407,32 +452,46 @@ def _refine_cases(rng):
 
 
 def test_refine_equals_the_full_rounds():
-    # From the all-zero start and from a random colouring; then down a random
-    # path of individualizations, checking at each node every vertex of every
-    # class of more than one vertex, with the child's prefix bits extended
-    # from its parent's.
+    # From the root; from one full round on a random colouring, with the
+    # vertices whose labels that round moved; then down a random path of
+    # individualizations, checking at each node every vertex of every cell
+    # of more than one vertex, with the child's prefix bits extended from
+    # its parent's.
     rng = random.Random(2024)
     checked = 0
     for g in _refine_cases(rng):
         n, adj = g.n, neighbor_lists(g)
         adj_sets = [set(row) for row in adj]
-        for start in ([0] * n, [rng.randrange(3) for _ in range(n)]):
-            assert isomorphism._refine(n, adj, start) == _refine_by_full_rounds(n, adj, start)
-        colors = _refine_by_full_rounds(n, adj, [0] * n)
-        prefix = _full_prefix_bits(adj_sets, colors)
-        assert isomorphism._prefix_bits(n, adj_sets, colors) == (prefix, _leading_singletons(colors))
+        cells = isomorphism._root(adj)
+        _check_cells(cells)
+        assert _ranks(cells) == _refine_by_full_rounds(n, adj, [0] * n)
+        start = [rng.randrange(3) for _ in range(n)]
+        unrefined = _cells_of(start)
+        first = _cells_of(_full_round(n, adj, start))
+        moved = [v for v, (x, y) in enumerate(zip(unrefined[0], first[0])) if x != y]
+        isomorphism._refine(adj, first, moved)
+        _check_cells(first, unrefined)
+        assert _ranks(first) == _refine_by_full_rounds(n, adj, start)
+        colors = _ranks(cells)
+        prefix, placed = isomorphism._prefix_bits(adj_sets, cells)
+        assert (prefix, placed) == (_full_prefix_bits(adj_sets, colors), _leading_singletons(colors))
         while True:
             split = [v for v in range(n) if colors.count(colors[v]) > 1]
             if not split:
                 break
             for v in split:
-                child = _individualize_by_ranking(n, adj, colors, v)
-                assert isomorphism._individualize(n, adj, colors, v) == child
-                expected = _full_prefix_bits(adj_sets, child), _leading_singletons(child)
-                assert isomorphism._prefix_bits(n, adj_sets, child, prefix) == expected
+                child = isomorphism._individualize(adj, cells, v)
+                _check_cells(child, cells)
+                expected = _individualize_by_ranking(n, adj, colors, v)
+                assert _ranks(child) == expected
+                assert isomorphism._prefix_bits(adj_sets, child, prefix, placed) == (
+                    _full_prefix_bits(adj_sets, expected),
+                    _leading_singletons(expected),
+                )
                 checked += 1
-            colors = _individualize_by_ranking(n, adj, colors, rng.choice(split))
-            prefix = _full_prefix_bits(adj_sets, colors)
+            cells = isomorphism._individualize(adj, cells, rng.choice(split))
+            colors = _ranks(cells)
+            prefix, placed = isomorphism._prefix_bits(adj_sets, cells, prefix, placed)
     assert checked > 1000
 
 
