@@ -43,11 +43,6 @@ class Graph:
     n: int
     edges: tuple[tuple[int, int], ...]
 
-    def has_edge(self, i: int, j: int) -> bool:
-        if i > j:
-            i, j = j, i
-        return (i, j) in self.edges
-
 
 def from_edge_list(n: int, pairs) -> Graph:
     """Build a Graph from vertex count and edge pairs.
@@ -131,30 +126,14 @@ _G6_OUTSIDE = re.compile("[^?-~]")  # any character but 63..126
 _G6_BITS = str.maketrans({chr(63 + x): format(x, "06b") for x in range(64)})
 
 
-def _g6_sextets(g: Graph) -> list[int]:
-    bits = []
-    for j in range(1, g.n):
-        col = [0] * j
-        bits.append(col)
-    for i, j in g.edges:
-        bits[j - 2][i - 1] = 1
-    flat = [b for col in bits for b in col]
-    while len(flat) % 6:
-        flat.append(0)
-    out = []
-    for k in range(0, len(flat), 6):
-        val = 0
-        for b in flat[k : k + 6]:
-            val = (val << 1) | b
-        out.append(val)
-    return out
-
-
 def emit_graph6(g: Graph) -> str:
     """Canonical graph6 encoding of g.
 
     Uses the single-byte size header for n <= 62 and the '~' three-byte
-    header for larger n (supported up to 258047).
+    header for larger n (supported up to 258047). The body is one string of
+    the column-major upper triangle's bits, as parse_graph6 reads it: edge
+    (i, j) is bit (j - 1)(j - 2)/2 + i - 1, and the string is padded with
+    zeros to whole bytes of six bits.
     """
     n = g.n
     if n <= 62:
@@ -163,7 +142,12 @@ def emit_graph6(g: Graph) -> str:
         head = "~" + chr(((n >> 12) & 63) + 63) + chr(((n >> 6) & 63) + 63) + chr((n & 63) + 63)
     else:
         raise GraphError(f"graph6 encoding supports at most 258047 vertices, got {n}")
-    return head + "".join(chr(v + 63) for v in _g6_sextets(g))
+    nbits = n * (n - 1) // 2
+    bits = ["0"] * (nbits + -nbits % 6)
+    for i, j in g.edges:
+        bits[(j - 1) * (j - 2) // 2 + i - 1] = "1"
+    body = "".join(bits)
+    return head + "".join(chr(63 + int(body[k : k + 6], 2)) for k in range(0, len(body), 6))
 
 
 def parse_graph6(text: str) -> Graph:

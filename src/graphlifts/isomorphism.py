@@ -59,13 +59,16 @@ segment of the full search's. Nodes whose prefix exceeds T's are not pruned:
 the search would then reach no leaves, record no automorphisms and explore
 every node whose prefix matches T's.
 
-Disconnected graphs are canonicalized one connected component at a time and
-the component forms concatenated in a fixed invariant order; lifts are often
-disjoint unions of isomorphic copies, and per-component search keeps those
-out of the factorial worst case. In target mode each component's target is
-the least string of the first graph's components of its vertex count, and a
-component of a count they lack means the graphs are not isomorphic. Graphs
-above the vertex ceiling are refused.
+Every graph is canonicalized one connected component at a time, in full or
+in target mode, and the component forms concatenated in a fixed invariant
+order; lifts are often disjoint unions of isomorphic copies, and
+per-component search keeps those out of the factorial worst case. A graph
+with no vertices has no components and the empty form. Each component's
+search also returns the leaf string it reached, the component's own
+canonical string. In target mode each component's target is the least
+string of the first graph's components of its vertex count, and a component
+of a count they lack means the graphs are not isomorphic. Graphs above the
+vertex ceiling are refused.
 """
 
 from __future__ import annotations
@@ -213,51 +216,48 @@ def _components(g: Graph) -> list[list[int]]:
 def canonical_form(g: Graph) -> CanonicalForm:
     if g.n > SIZE_CEILING:
         raise TooLarge(f"canonical form supports at most {SIZE_CEILING} vertices, got {g.n}")
-    n = g.n
-    if n == 0:
-        return CanonicalForm(0, (), ())
+    return _canonical(g)[0]
+
+
+def _canonical(
+    g: Graph, targets: dict[int, tuple[int, ...]] | None = None
+) -> tuple[CanonicalForm, list[tuple[int, tuple[int, ...]]]] | None:
+    """Canonical form of g from its components' forms, with each
+    component's (vertex count, leaf string). Given `targets`, each component
+    is searched in target mode against the target of its vertex count, and
+    None means g is not isomorphic to the graph the targets come from."""
     comps = _components(g)
-    if len(comps) > 1:
-        return _concatenate_components(g, comps)
-    return _canonical_connected(g)
-
-
-def _concatenate_components(
-    g: Graph, comps: list[list[int]], targets: dict[int, tuple[int, ...]] | None = None
-) -> CanonicalForm | None:
-    """Canonical form of a disconnected graph from its components' forms.
-    Given `targets`, each component is searched in target mode against the
-    target of its vertex count, and None means the graph is not isomorphic
-    to the one the targets come from."""
     if targets is not None and any(len(comp) not in targets for comp in comps):
         return None
-    by_vertex = {}
+    where = {}  # vertex -> (its component's index, its 1-based position there)
     for idx, comp in enumerate(comps):
-        for v in comp:
-            by_vertex[v] = idx
+        for k, v in enumerate(comp, start=1):
+            where[v] = idx, k
     comp_edges: list[list[tuple[int, int]]] = [[] for _ in comps]
     for i, j in g.edges:
-        comp_edges[by_vertex[i]].append((i, j))
+        (idx, a), (_, b) = where[i], where[j]
+        comp_edges[idx].append((a, b))
     pieces = []
-    for idx, comp in enumerate(comps):
-        local = {v: k + 1 for k, v in enumerate(comp)}
-        sub = from_edge_list(len(comp), [(local[i], local[j]) for i, j in comp_edges[idx]])
-        form = _canonical_connected(sub) if targets is None else _canonical_connected(sub, targets[len(comp)])
-        if form is None:
+    for comp, local_edges in zip(comps, comp_edges):
+        # positions keep vertex order, so the edges stay sorted
+        sub = Graph(len(comp), tuple(local_edges))
+        found = _canonical_connected(sub, None if targets is None else targets[len(comp)])
+        if found is None:
             return None
-        pieces.append((comp, local, form))
+        pieces.append((comp, *found))
     # order components by an isomorphism-invariant key; equal keys mean
     # identical forms, so the concatenation does not depend on tie order
-    pieces.sort(key=lambda p: (p[2].n, p[2].edges))
+    pieces.sort(key=lambda p: (p[1].n, p[1].edges))
     relabeling = [0] * g.n
     edges: list[tuple[int, int]] = []
     offset = 0
-    for comp, local, form in pieces:
-        for v in comp:
-            relabeling[v - 1] = offset + form.relabeling[local[v] - 1]
+    for comp, form, _ in pieces:
+        for v, label in zip(comp, form.relabeling):
+            relabeling[v - 1] = offset + label
         edges.extend((offset + a, offset + b) for a, b in form.edges)
         offset += form.n
-    return CanonicalForm(g.n, tuple(sorted(edges)), tuple(relabeling))
+    strings = [(form.n, bits) for _, form, bits in pieces]
+    return CanonicalForm(g.n, tuple(sorted(edges)), tuple(relabeling)), strings
 
 
 def _find(rep: list[int], v: int) -> int:
@@ -279,15 +279,18 @@ def _join(rep: list[int], gamma: list[int]) -> None:
                 rep[a] = b
 
 
-def _canonical_connected(g: Graph, target: tuple[int, ...] | None = None) -> CanonicalForm | None:
-    """Canonical form of a connected graph. Given the leaf string `target`
-    of a graph of the same order, stop at the first leaf that reaches it, or
-    return None as soon as a node's prefix is less than the target's."""
+def _canonical_connected(
+    g: Graph, target: tuple[int, ...] | None = None
+) -> tuple[CanonicalForm, tuple[int, ...]] | None:
+    """Canonical form of a connected graph and the leaf string it reached.
+    Given the leaf string `target` of a graph of the same order, stop at the
+    first leaf that reaches it, or return None as soon as a node's prefix is
+    less than the target's."""
     n = g.n
     if len(g.edges) == n * (n - 1) // 2:
         # complete graph: every ordering yields the same all-ones string
         all_pairs = tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
-        return CanonicalForm(n, all_pairs, tuple(range(1, n + 1)))
+        return CanonicalForm(n, all_pairs, tuple(range(1, n + 1))), (1,) * len(all_pairs)
     adj = neighbor_lists(g)
     adj_sets = [set(row) for row in adj]
     best: dict = {"bits": None, "labels": None, "path": None}
@@ -363,17 +366,7 @@ def _canonical_connected(g: Graph, target: tuple[int, ...] | None = None) -> Can
         (min(relabeling[i - 1], relabeling[j - 1]), max(relabeling[i - 1], relabeling[j - 1]))
         for i, j in g.edges
     )
-    return CanonicalForm(n, tuple(edges), relabeling)
-
-
-def _component_strings(form: CanonicalForm):
-    """(vertex count, leaf string) of each connected component of a
-    canonical form. The components hold consecutive labels, and each one's
-    column-major upper-triangle bits are the string its search reached."""
-    edges = set(form.edges)
-    for comp in _components(Graph(form.n, form.edges)):
-        low = comp[0]
-        yield len(comp), tuple((i, j) in edges for j in comp for i in range(low, j))
+    return CanonicalForm(n, tuple(edges), relabeling), best["bits"]
 
 
 def are_isomorphic(g: Graph, h: Graph) -> tuple[bool, tuple[int, ...] | None]:
@@ -394,18 +387,12 @@ def are_isomorphic(g: Graph, h: Graph) -> tuple[bool, tuple[int, ...] | None]:
         return False, None
     if degree_sequence(g) != degree_sequence(h):
         return False, None
-    cg = canonical_form(g)
-    targets: dict[int, tuple[int, ...]] = {}
-    for k, string in _component_strings(cg):
-        if k not in targets or string < targets[k]:
-            targets[k] = string
-    comps = _components(h)
-    if len(comps) == 1:
-        ch = _canonical_connected(h, targets[h.n]) if h.n in targets else None
-    else:
-        ch = _concatenate_components(h, comps, targets)
-    if ch is None or cg.edges != ch.edges:
+    cg, strings = _canonical(g)
+    # sorted descending, the least string of each vertex count comes last
+    found = _canonical(h, dict(sorted(strings, reverse=True)))
+    if found is None or cg.edges != found[0].edges:
         return False, None
+    ch = found[0]
     inverse_h = [0] * h.n
     for v in range(1, h.n + 1):
         inverse_h[ch.relabeling[v - 1] - 1] = v

@@ -213,14 +213,6 @@ def signature_from_rank(base: Graph, gr: GroupSpec, rank: int) -> Signature:
     return Signature(base, gr, {e: elems[d] for e, d in zip(base.edges, digits)})
 
 
-def rank_of_signature(s: Signature) -> int:
-    gr, k = s.group, s.group.order()
-    rank = 0
-    for edge in s.base.edges:
-        rank = rank * k + gr.index(s.assignments[edge])
-    return rank
-
-
 class SwitchingClasses:
     """The switching classes of the signatures on one base over an abelian
     group.

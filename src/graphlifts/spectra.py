@@ -167,14 +167,18 @@ def verify_decomposition(base: Graph, s: Signature) -> VerifyReport:
     while (modulus := sum(c << (b * i) for i, c in enumerate(phi))) <= bound:
         b += 1
     powers = [pow(1 << b, e, modulus) for e in range(exponent)]
+    # each voltage scaled once; chi.index . scaled[edge] mod K is Character's exponent
+    scaled = {
+        edge: [a * (exponent // k) for a, k in zip(g, s.group.orders)] for edge, g in s.assignments.items()
+    }
     product = [1]
     for pos, chi in enumerate(characters(s.group)):
         conjugate = s.group.index(inverse(s.group, chi.index))
         if conjugate < pos:
             continue
         m = [[0] * base.n for _ in range(base.n)]
-        for (i, j), g in s.assignments.items():
-            e = chi.root_exponent(g)
+        for (i, j), voltage in scaled.items():
+            e = sum(map(mul, chi.index, voltage)) % exponent
             m[i - 1][j - 1] = powers[e]
             m[j - 1][i - 1] = powers[-e % exponent]
         factor = [c % modulus for c in berkowitz_charpoly(m)]

@@ -80,19 +80,52 @@ def _names(tree: ast.AST) -> Counter:
     return names
 
 
+def _definitions(tree: ast.Module):
+    """Top-level functions and classes, and the methods of those classes
+    but the dunder ones, which Python calls itself: (qualified name, node)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{node.name}.{item.name}", item
+
+
 def _unnamed_definitions(modules: dict[str, str], others: list[str]) -> list[str]:
-    """Top-level functions and classes of `modules` (file name -> source)
-    named nowhere outside their own definition, in the modules or `others`."""
+    """Definitions of `modules` (file name -> source) named nowhere outside
+    their own definition, in the modules or `others`."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
     named = sum((_names(tree) for tree in trees.values()), Counter())
     named += sum((_names(ast.parse(source)) for source in others), Counter())
     return sorted(
-        f"{name}:{node.name}"
+        f"{name}:{qualified}"
         for name, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and named[node.name] == _names(node)[node.name]
+        for qualified, node in _definitions(tree)
+        if named[node.name] == _names(node)[node.name]
     )
+
+
+def _helpers_without_caller(root: pathlib.Path) -> list[str]:
+    """Definitions of the package under `root` that no code calls: named
+    nowhere in src/, scripts/ or perfbench/ outside their own definition.
+    Tests do not count as callers; __init__.py defines nothing, and its
+    re-exports do count."""
+    package = root / "src" / "graphlifts"
+    modules = {
+        path.name: path.read_text(encoding="utf-8")
+        for path in sorted(package.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    others = [
+        path.read_text(encoding="utf-8")
+        for folder in ("src", "scripts", "perfbench")
+        for path in sorted((root / folder).rglob("*.py"))
+        if path.parent != package or path.name == "__init__.py"
+    ]
+    return _unnamed_definitions(modules, others)
 
 
 def test_unnamed_definition_check_flags_a_helper_without_caller():
@@ -100,17 +133,39 @@ def test_unnamed_definition_check_flags_a_helper_without_caller():
     assert _unnamed_definitions({"m.py": module}, ["print(used())\n"]) == ["m.py:recursive"]
 
 
-def test_every_top_level_definition_is_named_elsewhere():
-    # __init__.py defines nothing; its re-exports count as names.
-    modules = {
-        path.name: path.read_text(encoding="utf-8")
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "__init__.py"
+def test_helper_check_flags_a_helper_that_only_tests_call(tmp_path):
+    files = {
+        "src/graphlifts/__init__.py": "from .m import exported\n",
+        "src/graphlifts/m.py": (
+            "def exported():\n    return Box().used()\n\n"
+            "def test_only():\n    return 1\n\n"
+            "class Box:\n    def __eq__(self, other):\n        return True\n\n"
+            "    def used(self):\n        return 1\n\n"
+            "    def test_only_method(self):\n        return 1\n"
+        ),
+        "scripts/run.py": "from graphlifts import exported\nexported()\n",
+        "tests/test_m.py": "from graphlifts.m import Box, test_only\ntest_only()\nBox().test_only_method()\n",
     }
-    others = [
-        path.read_text(encoding="utf-8")
-        for folder in ("src", "tests", "scripts", "perfbench")
-        for path in sorted((ROOT / folder).rglob("*.py"))
-        if path.parent != PACKAGE or path.name == "__init__.py"
-    ]
-    assert _unnamed_definitions(modules, others) == []
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    (tmp_path / "perfbench").mkdir()
+    assert _helpers_without_caller(tmp_path) == ["m.py:Box.test_only_method", "m.py:test_only"]
+
+
+# Definitions that no code calls, each kept for a reason; an entry that gains
+# a caller, or whose definition goes, must leave the list.
+UNCALLED = {
+    "algebra.py:CycloElem.as_integer": "cyclotomic reference for the character spectra of ROADMAP item 2",
+    "algebra.py:CycloElem.equals_integer": "cyclotomic reference for the character spectra of ROADMAP item 2",
+    "algebra.py:Character.inverse_value": "cyclotomic reference for the character spectra of ROADMAP item 2",
+    "algebra.py:perm_matrix": "the permutation matrices of the S3 example, ROADMAP item 6",
+    "isomorphism.py:relabeled": "applies a relabeling; the isomorphism tests and ROADMAP item 1 use it",
+    "search.py:SwitchingClasses.class_of": "acts on class keys in the orbits of ROADMAP item 3",
+    "search.py:check_condition2": "the paper's condition 2 on its own; conditions_hold folds it in",
+    "spectra.py:verify_constant_lift_lemma": "the paper's lemma, which the acceptance tests check",
+}
+
+
+def test_no_helper_lacks_a_caller():
+    assert _helpers_without_caller(ROOT) == sorted(UNCALLED)

@@ -112,9 +112,15 @@ def test_cycle_vs_disjoint_triangles():
     c6 = from_edge_list(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)])
     two_k3 = from_edge_list(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
     assert not are_isomorphic(c6, two_k3)[0]
+    # equal n, m and degree sequence, so C6 is searched against the targets
+    # of 2K3's components, which hold no string of its size
+    assert are_isomorphic(two_k3, c6) == (False, None)
 
 
 def test_empty_and_tiny_graphs():
+    empty = Graph(0, ())
+    assert canonical_form(empty) == isomorphism.CanonicalForm(0, (), ())
+    assert are_isomorphic(empty, empty) == (True, ())
     assert are_isomorphic(Graph(1, ()), Graph(1, ()))[0]
     assert not are_isomorphic(Graph(2, ()), from_edge_list(2, [(1, 2)]))[0]
 
@@ -206,14 +212,15 @@ def _leading_singletons(colors):
     return placed
 
 
-def _unpruned_canonical_connected(g):
+def _unpruned_canonical_connected(g, target=None):
     """The backtracking without automorphism pruning: every child of every
     node is explored, with the full-round refinement and prefix bits. The
-    pruned search must return exactly its result."""
+    pruned search must return exactly its result, the form and the leaf
+    string; `target` is ignored, since only full searches are compared."""
     n = g.n
     if len(g.edges) == n * (n - 1) // 2:
         all_pairs = tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
-        return isomorphism.CanonicalForm(n, all_pairs, tuple(range(1, n + 1)))
+        return isomorphism.CanonicalForm(n, all_pairs, tuple(range(1, n + 1))), (1,) * len(all_pairs)
     adj = neighbor_lists(g)
     adj_sets = [set(row) for row in adj]
     best = {"bits": None, "colors": None}
@@ -248,7 +255,7 @@ def _unpruned_canonical_connected(g):
 
     search(_refine_by_full_rounds(n, adj, [0] * n))
     relabeling = tuple(c + 1 for c in best["colors"])
-    return isomorphism.CanonicalForm(n, relabeled(g, relabeling).edges, relabeling)
+    return isomorphism.CanonicalForm(n, relabeled(g, relabeling).edges, relabeling), best["bits"]
 
 
 def _shuffled(g, rng):
