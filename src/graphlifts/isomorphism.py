@@ -1,31 +1,41 @@
 """Exact isomorphism testing via canonical forms for small graphs.
 
 The canonical form is found by colour refinement plus backtracking. A
-search node holds one ordered partition of the vertices as three lists:
-`order`, the vertices by position; `label[v]`, the last position of v's
-cell; and `start[e]`, the first position of the cell that ends at e. The
-root's first round orders the cells by degree, ascending. Each later round
-splits a cell next to a vertex that moved in the round before by its
-members' sorted moved-neighbour labels with n appended, the pieces in key
-order, and the last piece keeps the cell's label. That splits the cell as
-its members' full sorted neighbour labels would, in the same order: members
-of a cell shared their profile a round ago, and a moved label lies strictly
-inside its old cell's range, where no unmoved label lies, so two members'
-full tuples first differ at a moved label, and there the keys compare alike:
-more copies of a smaller label sort first, and a key that runs out meets n
-and sorts after. Members with no moved neighbour have the key (n,), so they
-form the last piece and never move. Pieces never come in first-seen
-order, so refinement is relabeling-invariant. The backtracking
-individualizes one vertex of the first non-singleton cell at a time and
-keeps the lexicographically smallest adjacency bit-string over all discrete
-partitions reached, reading the upper triangle in column-major order so
-that a prefix of placed vertices determines a prefix of the string. Ties
-inside a cell are explored smallest-partial-string first, and branches whose
-partial string already exceeds the best known are pruned. Each node's
-partial string is computed once, when its parent sorts its children, by
-extending the parent's with the columns of the newly placed vertices; at a
-leaf every vertex is placed, the partial string is the whole string, and
-the labels are the positions.
+search node holds one ordered partition of the vertices as four lists:
+`order`, the vertices by position; `pos`, its inverse; `label[v]`, the last
+position of v's cell; and `start[e]`, the first position of the cell that
+ends at e. The root's first round orders the cells by degree, ascending.
+Each later round splits a cell next to a vertex that moved in the round
+before by its members' sorted moved-neighbour labels with n appended, the
+pieces in key order, and the last piece keeps the cell's label. That splits
+the cell as its members' full sorted neighbour labels would, in the same
+order: members of a cell shared their profile a round ago, and a moved
+label lies strictly inside its old cell's range, where no unmoved label
+lies, so two members' full tuples first differ at a moved label, and there
+the keys compare alike: more copies of a smaller label sort first, and a
+key that runs out meets n and sorts after. Members with no moved neighbour
+have the key (n,), so they form the last piece and never move. Pieces never
+come in first-seen order, so refinement is relabeling-invariant. A round
+visits only the edges of moved vertices: it gathers each hit vertex's
+moved-neighbour labels, groups the hit vertices by cell, and swaps each
+piece but the last into the front of what is left of its cell, through
+`pos`, so the members with no moved neighbour keep the cell's label without
+being visited. The order of the vertices inside a cell of more than one
+vertex reaches no output: the search sorts a cell's members before it
+individualizes them, prefix bits read only singleton cells, and a leaf's
+labels are positions. The backtracking individualizes one vertex of the
+first non-singleton cell at a time and keeps the lexicographically smallest
+adjacency bit-string over all discrete partitions reached, reading the
+upper triangle in column-major order so that a prefix of placed vertices
+determines a prefix of the string. Ties inside a cell are explored
+smallest-partial-string first, and branches whose partial string already
+exceeds the best known are pruned. Each node's partial string is computed
+once, when its parent sorts its children, by extending the parent's with
+the columns of the newly placed vertices; at a leaf every vertex is placed,
+the partial string is the whole string, and the labels are the positions.
+Strings are `bytes` of one 0 or 1 each, which order as the tuples of those
+bits would, so comparing and slicing them run as single memory compares and
+copies.
 
 Two leaves with equal strings give an automorphism: the permutation that
 carries one leaf's vertex order onto the other's. The search records these
@@ -34,16 +44,20 @@ II" (J. Symb. Comput. 60, 2014). Each node keeps the recorded automorphisms
 that fix its path of individualized vertices, the ones its parent kept that
 also fix its own vertex, and joins them into orbits in a union-find whose
 roots are the least vertices of their orbits; after each child it folds in
-only the automorphisms recorded since. A child in the orbit of a sibling
-explored before it is skipped. When a
-leaf equals the best one, the rest of its branch at the depth where its path
-parts from the best leaf's path is skipped too: the automorphism carries the
-best leaf's branch, explored in full, onto that branch. Refinement commutes
-with relabeling, so a skipped subtree is the image of an explored one under
-an automorphism and holds the same leaf strings, each met later in the search
-order than its preimage. The pruned search therefore returns the same best
-string and the same first leaf reaching it, hence the same edges and
-relabeling, as the search without pruning.
+only the automorphisms recorded since. An automorphism that fixes the path
+maps the node's partition onto itself, since refinement commutes with
+relabeling, so it maps each cell onto itself; an orbit that meets the cell
+being individualized therefore lies inside it, and joining each
+automorphism over that cell alone finds it. A child in the orbit of a
+sibling explored before it is skipped. When a leaf equals the best one, the
+rest of its branch at the depth where its path parts from the best leaf's
+path is skipped too: the automorphism carries the best leaf's branch,
+explored in full, onto that branch. Refinement commutes with relabeling, so
+a skipped subtree is the image of an explored one under an automorphism and
+holds the same leaf strings, each met later in the search order than its
+preimage. The pruned search therefore returns the same best string and the
+same first leaf reaching it, hence the same edges and relabeling, as the
+search without pruning.
 
 Isomorphism takes one canonical form in full and searches the other graph
 in target mode, with the first graph's string T as the target, after McKay
@@ -77,10 +91,10 @@ from dataclasses import dataclass
 
 from .graphs import Graph, degree_sequence, from_edge_list, neighbor_lists
 
-SIZE_CEILING = 128
+SIZE_CEILING = 512
 
-# (label, start, order): an ordered partition, as the module docstring says
-Cells = tuple[list[int], list[int], list[int]]
+# (label, start, order, pos): an ordered partition, as the module docstring says
+Cells = tuple[list[int], list[int], list[int], list[int]]
 
 
 class TooLarge(ValueError):
@@ -106,37 +120,56 @@ def _refine(adj: list[list[int]], cells: Cells, moved: list[int]) -> None:
     docstring gives. The members of each cell must share that multiset as of
     the labels before the vertices of `moved` moved, each to a piece of its
     cell ahead of the piece that kept the cell's label."""
-    label, start, order = cells
+    label, start, order, pos = cells
     n = len(order)
     while moved:
-        hits: dict[int, dict[int, list[int]]] = {}
+        hits: dict[int, list[int]] = {}  # hit vertex -> its moved neighbours' labels
+        by_cell: dict[int, list[int]] = {}  # cell label -> its hit vertices
         for w in moved:
             x = label[w]
             for u in adj[w]:
                 e = label[u]
                 if start[e] != e:
-                    hits.setdefault(e, {}).setdefault(u, []).append(x)
+                    labels = hits.get(u)
+                    if labels is None:
+                        hits[u] = [x]
+                        by_cell.setdefault(e, []).append(u)
+                    else:
+                        labels.append(x)
         moved = []
-        for e, hit in hits.items():
+        for e, hit in by_cell.items():
             s = start[e]
-            pieces: dict[tuple[int, ...], list[int]] = {}
-            for u, labels in hit.items():
-                labels.sort()
-                labels.append(n)
-                pieces.setdefault(tuple(labels), []).append(u)
-            groups = [pieces[key] for key in sorted(pieces)]
-            if len(hit) <= e - s:
-                groups.append([u for u in order[s : e + 1] if u not in hit])
-            if len(groups) == 1:
-                continue
-            for piece in groups[:-1]:
-                order[s : s + len(piece)] = piece
-                start[s + len(piece) - 1] = s
-                s += len(piece)
+            if len(hit) == 1:
+                pieces = [hit]
+            else:
+                keyed: dict[tuple[int, ...], list[int]] = {}
+                for u in hit:
+                    labels = hits[u]
+                    if len(labels) == 1:
+                        key = (labels[0], n)
+                    else:
+                        labels.sort()
+                        labels.append(n)
+                        key = tuple(labels)
+                    keyed.setdefault(key, []).append(u)
+                pieces = [keyed[key] for key in sorted(keyed)] if len(keyed) > 1 else [*keyed.values()]
+                if len(hit) > e - s:
+                    # fully hit: the last piece stays behind and keeps the label
+                    if len(pieces) == 1:
+                        continue
+                    pieces.pop()
+            # swap each piece into the front of what is left of the cell
+            for piece in pieces:
                 for u in piece:
-                    label[u] = s - 1
+                    w = order[s]
+                    order[pos[u]], pos[w] = w, pos[u]
+                    order[s], pos[u] = u, s
+                    s += 1
+                last = s - 1
+                start[last] = s - len(piece)
+                for u in piece:
+                    label[u] = last
                 moved.extend(piece)
-            order[s : e + 1] = groups[-1]
             start[e] = s
 
 
@@ -148,9 +181,11 @@ def _root(adj: list[list[int]]) -> Cells:
     last = {len(adj[v]): p for p, v in enumerate(order)}
     label = [last[len(row)] for row in adj]
     start = [0] * n
+    pos = [0] * n
     for p in reversed(range(n)):
         start[label[order[p]]] = p
-    cells = (label, start, order)
+        pos[order[p]] = p
+    cells = (label, start, order, pos)
     _refine(adj, cells, order[: start[n - 1]])
     return cells
 
@@ -159,35 +194,41 @@ def _individualize(adj: list[list[int]], cells: Cells, v: int) -> Cells:
     """A refined copy of `cells` with v split off its cell, ahead of the
     rest of it: v moves to the cell's first position and the rest keeps the
     cell's label."""
-    label, start, order = cells[0][:], cells[1][:], cells[2][:]
+    label, start, order, pos = (x[:] for x in cells)
     e = label[v]
     s = start[e]
-    i = order.index(v, s, e + 1)
-    order[i], order[s] = order[s], v
+    w = order[s]
+    order[pos[v]], pos[w] = w, pos[v]
+    order[s], pos[v] = v, s
     label[v] = start[s] = s
     start[e] = s + 1
-    child = (label, start, order)
+    child = (label, start, order, pos)
     _refine(adj, child, [v])
     return child
 
 
 def _prefix_bits(
-    adj_sets: list[set[int]], cells: Cells, parent: tuple[int, ...] = (), placed: int = 0
-) -> tuple[tuple[int, ...], int]:
+    adj: list[list[int]], cells: Cells, parent: bytes = b"", placed: int = 0
+) -> tuple[bytes, int]:
     """Column-major upper-triangle bits among the leading singleton cells,
-    and the number of those cells: n if the partition is discrete, else
-    the first position of a cell of more than one vertex.
+    one byte each, and the number of those cells: n if the partition is
+    discrete, else the first position of a cell of more than one vertex.
 
     `parent` and `placed` may be the result for a partition that `cells`
     refines, as _individualize does, whose singleton cells keep their
     positions: only the columns of the newly placed vertices are computed."""
-    label, _, order = cells
-    bits = list(parent)
+    label, _, order, pos = cells
+    bits = bytearray(parent)
     n = len(order)
     while placed < n and label[order[placed]] == placed:
-        bits.extend(map(adj_sets[order[placed]].__contains__, order[:placed]))
+        base = len(bits)
+        bits.extend(bytes(placed))
+        for u in adj[order[placed]]:
+            p = pos[u]
+            if p < placed:
+                bits[base + p] = 1
         placed += 1
-    return tuple(bits), placed
+    return bytes(bits), placed
 
 
 def _components(g: Graph) -> list[list[int]]:
@@ -220,8 +261,8 @@ def canonical_form(g: Graph) -> CanonicalForm:
 
 
 def _canonical(
-    g: Graph, targets: dict[int, tuple[int, ...]] | None = None
-) -> tuple[CanonicalForm, list[tuple[int, tuple[int, ...]]]] | None:
+    g: Graph, targets: dict[int, bytes] | None = None
+) -> tuple[CanonicalForm, list[tuple[int, bytes]]] | None:
     """Canonical form of g from its components' forms, with each
     component's (vertex count, leaf string). Given `targets`, each component
     is searched in target mode against the target of its vertex count, and
@@ -267,10 +308,12 @@ def _find(rep: list[int], v: int) -> int:
     return v
 
 
-def _join(rep: list[int], gamma: list[int]) -> None:
+def _join(rep: list[int], gamma: list[int], cell: list[int]) -> None:
     """Merge the classes of the union-find `rep` that the permutation gamma
-    joins; every class keeps its least vertex as its root."""
-    for v, w in enumerate(gamma):
+    joins on `cell`, which gamma must map onto itself; every class keeps its
+    least vertex as its root."""
+    for v in cell:
+        w = gamma[v]
         if v != w:
             a, b = _find(rep, v), _find(rep, w)
             if a < b:
@@ -280,8 +323,8 @@ def _join(rep: list[int], gamma: list[int]) -> None:
 
 
 def _canonical_connected(
-    g: Graph, target: tuple[int, ...] | None = None
-) -> tuple[CanonicalForm, tuple[int, ...]] | None:
+    g: Graph, target: bytes | None = None
+) -> tuple[CanonicalForm, bytes] | None:
     """Canonical form of a connected graph and the leaf string it reached.
     Given the leaf string `target` of a graph of the same order, stop at the
     first leaf that reaches it, or return None as soon as a node's prefix is
@@ -290,16 +333,15 @@ def _canonical_connected(
     if len(g.edges) == n * (n - 1) // 2:
         # complete graph: every ordering yields the same all-ones string
         all_pairs = tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
-        return CanonicalForm(n, all_pairs, tuple(range(1, n + 1))), (1,) * len(all_pairs)
+        return CanonicalForm(n, all_pairs, tuple(range(1, n + 1))), b"\x01" * len(all_pairs)
     adj = neighbor_lists(g)
-    adj_sets = [set(row) for row in adj]
     best: dict = {"bits": None, "labels": None, "path": None}
     # automorphisms[k][v] is the image of vertex v; each one maps the best
     # leaf's vertex order onto the order of a later leaf with the same string
     automorphisms: list[list[int]] = []
 
     def search(
-        cells: Cells, path: list[int], prefix: tuple[int, ...], placed: int, fixing: list[list[int]]
+        cells: Cells, path: list[int], prefix: bytes, placed: int, fixing: list[list[int]]
     ) -> int | None:
         """Explore the node reached by individualizing the vertices of
         `path` in turn; `prefix` and `placed` are its _prefix_bits, which at
@@ -330,15 +372,16 @@ def _canonical_connected(
         # individualized; orbits grow as siblings find automorphisms.
         if path:
             fixing = [gamma for gamma in fixing if gamma[path[-1]] == path[-1]]
+        label, _, order, _ = cells
+        cell = order[placed : label[order[placed]] + 1]
         rep = list(range(n))
         for gamma in fixing:
-            _join(rep, gamma)
-        label, _, order = cells
-        members = sorted(v for v in order[placed : label[order[placed]] + 1] if _find(rep, v) == v)
+            _join(rep, gamma, cell)
+        members = sorted(v for v in cell if _find(rep, v) == v)
         children = []
         for v in members:
             child = _individualize(adj, cells, v)
-            children.append((*_prefix_bits(adj_sets, child, prefix, placed), v, child))
+            children.append((*_prefix_bits(adj, child, prefix, placed), v, child))
         children.sort(key=lambda t: (t[0], t[2]))
         explored: list[int] = []
         seen_automorphisms = len(automorphisms)
@@ -346,7 +389,7 @@ def _canonical_connected(
             for gamma in automorphisms[seen_automorphisms:]:
                 if all(gamma[p] == p for p in path):
                     fixing.append(gamma)
-                    _join(rep, gamma)
+                    _join(rep, gamma, cell)
             seen_automorphisms = len(automorphisms)
             orbit = _find(rep, v)
             if any(_find(rep, u) == orbit for u in explored):
@@ -359,7 +402,7 @@ def _canonical_connected(
 
     root = _root(adj)
     # the search ends early at a leaf equal to the target or at a prefix below it
-    if search(root, [], *_prefix_bits(adj_sets, root), []) == -1 and best["bits"] != target:
+    if search(root, [], *_prefix_bits(adj, root), []) == -1 and best["bits"] != target:
         return None
     relabeling = tuple(x + 1 for x in best["labels"])
     edges = sorted(

@@ -126,12 +126,12 @@ def test_empty_and_tiny_graphs():
 
 
 def test_size_ceiling():
-    big = Graph(129, ())
+    big = Graph(513, ())
     with pytest.raises(TooLarge):
         canonical_form(big)
     with pytest.raises(TooLarge):
         are_isomorphic(big, big)
-    ok = Graph(128, ())
+    ok = Graph(512, ())
     assert are_isomorphic(ok, ok)[0]
 
 
@@ -170,19 +170,22 @@ def _cells_of(colors):
     last = {colors[v]: p for p, v in enumerate(order)}
     label = [last[c] for c in colors]
     start = [0] * n
+    pos = [0] * n
     for p in reversed(range(n)):
         start[label[order[p]]] = p
-    return label, start, order
+        pos[order[p]] = p
+    return label, start, order, pos
 
 
 def _check_cells(cells, parent=None):
-    """`order` is a permutation and each cell's members fill the positions
-    from its start to its label. Given the partition `parent` it was refined
-    from, every cell lies inside a parent cell, whose label its members that
-    stayed untouched still carry."""
-    label, start, order = cells
+    """`order` is a permutation, `pos` its inverse, and each cell's members
+    fill the positions from its start to its label. Given the partition
+    `parent` it was refined from, every cell lies inside a parent cell, whose
+    label its members that stayed untouched still carry."""
+    label, start, order, pos = cells
     n = len(order)
     assert sorted(order) == list(range(n))
+    assert all(order[pos[v]] == v for v in range(n))
     for i, v in enumerate(order):
         assert start[label[v]] <= i <= label[v]
     assert all(label[order[i]] == e for e in set(label) for i in range(start[e], e + 1))
@@ -199,7 +202,7 @@ def _full_prefix_bits(adj_sets, colors):
     placed = []
     while counts[len(placed)] == 1:
         placed.append(colors.index(len(placed)))
-    return tuple(
+    return bytes(
         1 if placed[i] in adj_sets[placed[j]] else 0 for j in range(1, len(placed)) for i in range(j)
     )
 
@@ -220,7 +223,7 @@ def _unpruned_canonical_connected(g, target=None):
     n = g.n
     if len(g.edges) == n * (n - 1) // 2:
         all_pairs = tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
-        return isomorphism.CanonicalForm(n, all_pairs, tuple(range(1, n + 1))), (1,) * len(all_pairs)
+        return isomorphism.CanonicalForm(n, all_pairs, tuple(range(1, n + 1))), b"\x01" * len(all_pairs)
     adj = neighbor_lists(g)
     adj_sets = [set(row) for row in adj]
     best = {"bits": None, "colors": None}
@@ -237,7 +240,7 @@ def _unpruned_canonical_connected(g, target=None):
             order = [0] * n
             for v, c in enumerate(colors):
                 order[c] = v
-            bits = tuple(
+            bits = bytes(
                 1 if order[i] in adj_sets[order[j]] else 0 for j in range(1, n) for i in range(j)
             )
             if best["bits"] is None or bits < best["bits"]:
@@ -437,10 +440,7 @@ def test_symmetric_graphs_finish_within_the_stated_bound():
     (5, 6) (switching class (0, 1)), each against a seeded relabeling: all
     eight canonical forms together finish in under 10 s. Without automorphism
     pruning these graphs take more than 30 s."""
-    h = fixtures.BASE_H
-    z10 = AbelianGroup((10,))
-    lift = build_lift(h, make_signature(h, z10, {e: ((1,) if e == (5, 6) else (0,)) for e in h.edges}))
-    graphs = [_complete_minus(11, {(1, 2), (3, 4)}), _hypercube(5), _cycle(64), lift]
+    graphs = [_complete_minus(11, {(1, 2), (3, 4)}), _hypercube(5), _cycle(64), _lift_of_one_voltage(10)]
     rng = random.Random(60)
     start = time.perf_counter()
     for g in graphs:
@@ -480,7 +480,7 @@ def test_refine_equals_the_full_rounds():
         _check_cells(first, unrefined)
         assert _ranks(first) == _refine_by_full_rounds(n, adj, start)
         colors = _ranks(cells)
-        prefix, placed = isomorphism._prefix_bits(adj_sets, cells)
+        prefix, placed = isomorphism._prefix_bits(adj, cells)
         assert (prefix, placed) == (_full_prefix_bits(adj_sets, colors), _leading_singletons(colors))
         while True:
             split = [v for v in range(n) if colors.count(colors[v]) > 1]
@@ -491,19 +491,27 @@ def test_refine_equals_the_full_rounds():
                 _check_cells(child, cells)
                 expected = _individualize_by_ranking(n, adj, colors, v)
                 assert _ranks(child) == expected
-                assert isomorphism._prefix_bits(adj_sets, child, prefix, placed) == (
+                assert isomorphism._prefix_bits(adj, child, prefix, placed) == (
                     _full_prefix_bits(adj_sets, expected),
                     _leading_singletons(expected),
                 )
                 checked += 1
             cells = isomorphism._individualize(adj, cells, rng.choice(split))
             colors = _ranks(cells)
-            prefix, placed = isomorphism._prefix_bits(adj_sets, cells, prefix, placed)
+            prefix, placed = isomorphism._prefix_bits(adj, cells, prefix, placed)
     assert checked > 1000
 
 
 def _lift_of(base, orders, seed):
     return build_lift(base, _random_signature(base, AbelianGroup(orders), random.Random(seed)))
+
+
+def _lift_of_one_voltage(order):
+    """The lift of H over Z_order whose only non-identity voltage is 1 on
+    (5, 6): 6 * order vertices, switching class (0, 1)."""
+    h = fixtures.BASE_H
+    gr = AbelianGroup((order,))
+    return build_lift(h, make_signature(h, gr, {e: ((1,) if e == (5, 6) else (0,)) for e in h.edges}))
 
 
 PIN_GRAPHS = {
@@ -517,11 +525,15 @@ PIN_GRAPHS = {
     "H over Z4": lambda: _lift_of(fixtures.BASE_H, (4,), 4),
     "H over Z6": lambda: _lift_of(fixtures.BASE_H, (6,), 5),
     "H over Z2xZ4": lambda: _lift_of(fixtures.BASE_H, (2, 4), 6),
+    "C512": lambda: _cycle(512),
+    "Q9": lambda: _hypercube(9),
+    "H over Z80, 1 on (5, 6)": lambda: _lift_of_one_voltage(80),
 }
 
 # sha256 of repr((edges, relabeling)) of canonical_form on a seeded
-# relabeling of each graph of PIN_GRAPHS, at the commit that pinned them;
-# every later change must keep them.
+# relabeling of each graph of PIN_GRAPHS, at the commit that pinned them (the
+# 512-scale graphs with the ceiling lifted, at the commit before it rose to
+# 512); every later change must keep them.
 PINNED_FORMS = {
     "C64": "26d086b92ad151763b46c882d7638a74bc168f0ab7a8365344cd22e6362821a3",
     "Q5": "2d51c3d81b05b18868da895b9d198d836453bb17b9cd72cd61484bcdca7b560c",
@@ -533,6 +545,9 @@ PINNED_FORMS = {
     "H over Z4": "6f319b6d9de47b9719ccb444d429f77bea779c7ab23bd737ef627b2e8e2b85c6",
     "H over Z6": "dbb85e73c5dc51ee4c6c60125a2e42cfce91d6327c1cd6e124fff34b70853dda",
     "H over Z2xZ4": "043dc09e429aca44bbde41ca6292aaa7d4a6ea6f9b0d925f04eea5b08a352f7a",
+    "C512": "010dea266eb5e5834c9b065756d33bb2de87a98a8408d6cf0965c458f7b310e5",
+    "Q9": "47387bc92eeac7a8d318e9ab30b09f7e5c4144d78345e3ffcd37a8ba26de48ec",
+    "H over Z80, 1 on (5, 6)": "1ff546cd8de9e1e8334bab52e2f2b04d0ae8e35dbdcaa7a1f588a59556bf7d91",
 }
 
 
@@ -572,12 +587,9 @@ def test_iso_stdout_is_pinned(name, capsys, tmp_path):
 def test_graphs_at_the_size_ceiling_finish_within_the_stated_bound():
     """C128, the hypercube Q7 and the 120-vertex lift of H over Z20 whose only
     non-identity voltage is 1 on (5, 6), each against a seeded relabeling:
-    all six canonical forms together finish in under 5 s."""
-    h = fixtures.BASE_H
-    z20 = AbelianGroup((20,))
-    lift = build_lift(h, make_signature(h, z20, {e: ((1,) if e == (5, 6) else (0,)) for e in h.edges}))
-    graphs = [_cycle(128), _hypercube(7), lift]
-    assert max(g.n for g in graphs) == isomorphism.SIZE_CEILING
+    all six canonical forms together finish in under 5 s. The graphs at the
+    ceiling itself have their own bound, below."""
+    graphs = [_cycle(128), _hypercube(7), _lift_of_one_voltage(20)]
     rng = random.Random(128)
     start = time.perf_counter()
     for g in graphs:
@@ -585,9 +597,24 @@ def test_graphs_at_the_size_ceiling_finish_within_the_stated_bound():
     assert time.perf_counter() - start < 5.0
 
 
+def test_graphs_of_512_vertices_finish_within_the_stated_bound():
+    """C512, the hypercube Q9 and the 480-vertex lift of H over Z80 whose
+    only non-identity voltage is 1 on (5, 6), each against a seeded
+    relabeling: each graph's two canonical forms finish in under 10 s."""
+    graphs = [_cycle(512), _hypercube(9), _lift_of_one_voltage(80)]
+    assert max(g.n for g in graphs) == isomorphism.SIZE_CEILING
+    rng = random.Random(512)
+    for g in graphs:
+        start = time.perf_counter()
+        assert canonical_form(g).edges == canonical_form(_shuffled(g, rng)).edges
+        assert time.perf_counter() - start < 10.0
+
+
 # sum over the search of _individualize calls of canonical_form on the seeded
 # relabeling of each graph of PIN_GRAPHS, measured at the commit before the
-# orbits were folded in incrementally: the same children must be skipped.
+# orbits were folded in incrementally, and for the 512-scale graphs at the
+# commit before orbits were joined only over the target cell (with the
+# ceiling lifted): the same children must be skipped.
 PINNED_INDIVIDUALIZE_CALLS = {
     "C64": 70,
     "Q5": 66,
@@ -599,6 +626,9 @@ PINNED_INDIVIDUALIZE_CALLS = {
     "H over Z4": 19,
     "H over Z6": 49,
     "H over Z2xZ4": 36,
+    "C512": 516,
+    "Q9": 623,
+    "H over Z80, 1 on (5, 6)": 3646,
 }
 
 
