@@ -29,13 +29,15 @@ adjacency bit-string over all discrete partitions reached, reading the
 upper triangle in column-major order so that a prefix of placed vertices
 determines a prefix of the string. Ties inside a cell are explored
 smallest-partial-string first, and branches whose partial string already
-exceeds the best known are pruned. Each node's partial string is computed
-once, when its parent sorts its children, by extending the parent's with
-the columns of the newly placed vertices; at a leaf every vertex is placed,
-the partial string is the whole string, and the labels are the positions.
-Strings are `bytes` of one 0 or 1 each, which order as the tuples of those
-bits would, so comparing and slicing them run as single memory compares and
-copies.
+exceeds the best known are pruned. A node computes each child's columns,
+those of the newly placed vertices, once, when it sorts its children:
+siblings share the node's partial string, so their columns order them as
+their whole partial strings would. A child's partial string, the node's
+followed by its columns, is built only when the child is explored; at a
+leaf every vertex is placed, the partial string is the whole string, and
+the labels are the positions. Strings are `bytes` of one 0 or 1 each, which
+order as the tuples of those bits would, so comparing and slicing them run
+as single memory compares and copies.
 
 Two leaves with equal strings give an automorphism: the permutation that
 carries one leaf's vertex order onto the other's. The search records these
@@ -47,17 +49,20 @@ roots are the least vertices of their orbits; after each child it folds in
 only the automorphisms recorded since. An automorphism that fixes the path
 maps the node's partition onto itself, since refinement commutes with
 relabeling, so it maps each cell onto itself; an orbit that meets the cell
-being individualized therefore lies inside it, and joining each
-automorphism over that cell alone finds it. A child in the orbit of a
-sibling explored before it is skipped. When a leaf equals the best one, the
-rest of its branch at the depth where its path parts from the best leaf's
-path is skipped too: the automorphism carries the best leaf's branch,
-explored in full, onto that branch. Refinement commutes with relabeling, so
-a skipped subtree is the image of an explored one under an automorphism and
-holds the same leaf strings, each met later in the search order than its
-preimage. The pruned search therefore returns the same best string and the
-same first leaf reaching it, hence the same edges and relabeling, as the
-search without pruning.
+being individualized therefore lies inside it, and a union-find over that
+cell alone finds it. Each automorphism is kept with its links, the least
+vertex of each of its cycles paired with the cycle's other vertices: a
+cycle lies inside the cell or outside it, and joining its links joins the
+cycle, so a join costs the vertices the automorphism moves, not n. A child
+in the orbit of a sibling explored before it is skipped. When a leaf equals
+the best one, the rest of its branch at the depth where its path parts from
+the best leaf's path is skipped too: the automorphism carries the best
+leaf's branch, explored in full, onto that branch. Refinement commutes with
+relabeling, so a skipped subtree is the image of an explored one under an
+automorphism and holds the same leaf strings, each met later in the search
+order than its preimage. The pruned search therefore returns the same best
+string and the same first leaf reaching it, hence the same edges and
+relabeling, as the search without pruning.
 
 Isomorphism takes one canonical form in full and searches the other graph
 in target mode, with the first graph's string T as the target, after McKay
@@ -81,17 +86,29 @@ with no vertices has no components and the empty form. Each component's
 search also returns the leaf string it reached, the component's own
 canonical string. In target mode each component's target is the least
 string of the first graph's components of its vertex count, and a component
-of a count they lack means the graphs are not isomorphic. Graphs above the
-vertex ceiling are refused.
+of a count they lack means the graphs are not isomorphic.
+
+Graphs above the vertex ceiling are refused. A node holds its children's
+partitions while it explores them, so a path holds at most n of them per
+level, each of four lists of n, and time and memory grow with what the
+path holds. A class of twins makes that bound tight: the first path of the
+star K1,n-1 or of Kn/2,n/2 individualizes the twins one at a time, each
+level building a child for every twin left, and every later branch
+descends to a leaf, joining one recorded automorphism per level below it.
+Their time and memory grow as n^3, and at 512 vertices the memory would
+reach gigabytes. The ceiling is where those shapes still finish within the
+bound the tests state.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import chain
 
 from .graphs import Graph, degree_sequence, from_edge_list, neighbor_lists
 
-SIZE_CEILING = 512
+SIZE_CEILING = 192
 
 # (label, start, order, pos): an ordered partition, as the module docstring says
 Cells = tuple[list[int], list[int], list[int], list[int]]
@@ -136,28 +153,26 @@ def _refine(adj: list[list[int]], cells: Cells, moved: list[int]) -> None:
                         by_cell.setdefault(e, []).append(u)
                     else:
                         labels.append(x)
+        # from one moved vertex, every hit vertex has the one key (x, n)
+        one_key = len(moved) == 1
         moved = []
         for e, hit in by_cell.items():
             s = start[e]
-            if len(hit) == 1:
+            if one_key:
                 pieces = [hit]
             else:
                 keyed: dict[tuple[int, ...], list[int]] = {}
                 for u in hit:
                     labels = hits[u]
-                    if len(labels) == 1:
-                        key = (labels[0], n)
-                    else:
-                        labels.sort()
-                        labels.append(n)
-                        key = tuple(labels)
-                    keyed.setdefault(key, []).append(u)
-                pieces = [keyed[key] for key in sorted(keyed)] if len(keyed) > 1 else [*keyed.values()]
-                if len(hit) > e - s:
-                    # fully hit: the last piece stays behind and keeps the label
-                    if len(pieces) == 1:
-                        continue
-                    pieces.pop()
+                    labels.sort()
+                    labels.append(n)
+                    keyed.setdefault(tuple(labels), []).append(u)
+                pieces = [keyed[key] for key in sorted(keyed)]
+            if len(hit) > e - s:
+                # fully hit: the last piece stays behind and keeps the label
+                if len(pieces) == 1:
+                    continue
+                pieces.pop()
             # swap each piece into the front of what is left of the cell
             for piece in pieces:
                 for u in piece:
@@ -207,18 +222,18 @@ def _individualize(adj: list[list[int]], cells: Cells, v: int) -> Cells:
     return child
 
 
-def _prefix_bits(
-    adj: list[list[int]], cells: Cells, parent: bytes = b"", placed: int = 0
-) -> tuple[bytes, int]:
+def _prefix_bits(adj: list[list[int]], cells: Cells, placed: int = 0) -> tuple[bytes, int]:
     """Column-major upper-triangle bits among the leading singleton cells,
-    one byte each, and the number of those cells: n if the partition is
-    discrete, else the first position of a cell of more than one vertex.
+    one byte each, from the column of position `placed` on, and the number
+    of those cells: n if the partition is discrete, else the first position
+    of a cell of more than one vertex.
 
-    `parent` and `placed` may be the result for a partition that `cells`
-    refines, as _individualize does, whose singleton cells keep their
-    positions: only the columns of the newly placed vertices are computed."""
+    The first `placed` positions must be singleton cells; the bits of their
+    columns are those of any partition that `cells` refines, as
+    _individualize does, so a child's bits are its parent's followed by the
+    columns of the newly placed vertices."""
     label, _, order, pos = cells
-    bits = bytearray(parent)
+    bits = bytearray()
     n = len(order)
     while placed < n and label[order[placed]] == placed:
         base = len(bits)
@@ -301,25 +316,39 @@ def _canonical(
     return CanonicalForm(g.n, tuple(sorted(edges)), tuple(relabeling)), strings
 
 
-def _find(rep: list[int], v: int) -> int:
+def _find(rep: dict[int, int], v: int) -> int:
     while rep[v] != v:
         rep[v] = rep[rep[v]]
         v = rep[v]
     return v
 
 
-def _join(rep: list[int], gamma: list[int], cell: list[int]) -> None:
-    """Merge the classes of the union-find `rep` that the permutation gamma
-    joins on `cell`, which gamma must map onto itself; every class keeps its
-    least vertex as its root."""
-    for v in cell:
-        w = gamma[v]
-        if v != w:
+def _join(rep: dict[int, int], links: Iterable[tuple[int, int]]) -> None:
+    """Merge the classes of the union-find `rep`, whose keys are one cell,
+    that automorphisms mapping the cell onto itself join on it; `links` are
+    their _links. Every class keeps its least vertex as its root."""
+    for v, w in links:
+        if v in rep:
             a, b = _find(rep, v), _find(rep, w)
             if a < b:
                 rep[b] = a
             elif b < a:
                 rep[a] = b
+
+
+def _links(gamma: list[int]) -> list[tuple[int, int]]:
+    """Pairs that join each cycle of the permutation gamma: its least vertex
+    with each other vertex of the cycle."""
+    links = []
+    seen = [False] * len(gamma)
+    for v, w in enumerate(gamma):
+        if w != v and not seen[v]:
+            while not seen[w]:
+                seen[w] = True
+                if w != v:
+                    links.append((v, w))
+                w = gamma[w]
+    return links
 
 
 def _canonical_connected(
@@ -336,19 +365,25 @@ def _canonical_connected(
         return CanonicalForm(n, all_pairs, tuple(range(1, n + 1))), b"\x01" * len(all_pairs)
     adj = neighbor_lists(g)
     best: dict = {"bits": None, "labels": None, "path": None}
-    # automorphisms[k][v] is the image of vertex v; each one maps the best
-    # leaf's vertex order onto the order of a later leaf with the same string
-    automorphisms: list[list[int]] = []
+    # each automorphism maps the best leaf's vertex order onto the order of a
+    # later leaf with the same string: (gamma, its _links), where gamma[v] is
+    # the image of vertex v
+    automorphisms: list[tuple[list[int], list[tuple[int, int]]]] = []
 
     def search(
-        cells: Cells, path: list[int], prefix: bytes, placed: int, fixing: list[list[int]]
+        cells: Cells,
+        path: list[int],
+        prefix: bytes,
+        placed: int,
+        fixing: list[tuple[list[int], list[tuple[int, int]]]],
     ) -> int | None:
         """Explore the node reached by individualizing the vertices of
-        `path` in turn; `prefix` and `placed` are its _prefix_bits, which at
-        a leaf are the whole string and n, and `fixing` holds the recorded
-        automorphisms that fix every vertex of `path` but the last. Returns
-        None, or, after a leaf equal to the best one, the depth where the two
-        leaves' paths part, to resume there; -1 ends the search."""
+        `path` in turn; `prefix` and `placed` are its prefix bits and their
+        count of placed vertices, which at a leaf are the whole string and n,
+        and `fixing` holds the recorded automorphisms that fix every vertex
+        of `path` but the last. Returns None, or, after a leaf equal to the
+        best one, the depth where the two leaves' paths part, to resume
+        there; -1 ends the search."""
         if target is not None and prefix < target[: len(prefix)]:
             return -1
         if best["bits"] is not None and prefix > best["bits"][: len(prefix)]:
@@ -361,7 +396,8 @@ def _canonical_connected(
                 if prefix == target:
                     return -1
             elif prefix == best["bits"]:
-                automorphisms.append([cells[2][c] for c in best["labels"]])
+                gamma = [cells[2][c] for c in best["labels"]]
+                automorphisms.append((gamma, _links(gamma)))
                 common = 0
                 while best["path"][common] == path[common]:
                     common += 1
@@ -371,31 +407,33 @@ def _canonical_connected(
         # prefix bits, so the least of them sorts first and only it is
         # individualized; orbits grow as siblings find automorphisms.
         if path:
-            fixing = [gamma for gamma in fixing if gamma[path[-1]] == path[-1]]
+            fixing = [aut for aut in fixing if aut[0][path[-1]] == path[-1]]
         label, _, order, _ = cells
         cell = order[placed : label[order[placed]] + 1]
-        rep = list(range(n))
-        for gamma in fixing:
-            _join(rep, gamma, cell)
-        members = sorted(v for v in cell if _find(rep, v) == v)
+        rep = {v: v for v in cell}
+        _join(rep, chain.from_iterable(links for _, links in fixing))
+        members = sorted(v for v in cell if rep[v] == v)
+        # siblings share the node's prefix, so they sort by the columns they
+        # add, and each keeps only those
         children = []
         for v in members:
             child = _individualize(adj, cells, v)
-            children.append((*_prefix_bits(adj, child, prefix, placed), v, child))
+            children.append((*_prefix_bits(adj, child, placed), v, child))
         children.sort(key=lambda t: (t[0], t[2]))
         explored: list[int] = []
         seen_automorphisms = len(automorphisms)
-        for child_prefix, child_placed, v, child in children:
-            for gamma in automorphisms[seen_automorphisms:]:
+        for columns, child_placed, v, child in children:
+            for aut in automorphisms[seen_automorphisms:]:
+                gamma, links = aut
                 if all(gamma[p] == p for p in path):
-                    fixing.append(gamma)
-                    _join(rep, gamma, cell)
+                    fixing.append(aut)
+                    _join(rep, links)
             seen_automorphisms = len(automorphisms)
             orbit = _find(rep, v)
             if any(_find(rep, u) == orbit for u in explored):
                 continue
             explored.append(v)
-            back = search(child, path + [v], child_prefix, child_placed, fixing)
+            back = search(child, path + [v], prefix + columns, child_placed, fixing)
             if back is not None and back < len(path):
                 return back
         return None

@@ -126,12 +126,12 @@ def test_empty_and_tiny_graphs():
 
 
 def test_size_ceiling():
-    big = Graph(513, ())
+    big = Graph(193, ())
     with pytest.raises(TooLarge):
         canonical_form(big)
     with pytest.raises(TooLarge):
         are_isomorphic(big, big)
-    ok = Graph(512, ())
+    ok = Graph(192, ())
     assert are_isomorphic(ok, ok)[0]
 
 
@@ -274,6 +274,14 @@ def _hypercube(d):
 
 def _cycle(n):
     return from_edge_list(n, [(i, i % n + 1) for i in range(1, n + 1)])
+
+
+def _star(n):
+    return from_edge_list(n, [(1, v) for v in range(2, n + 1)])
+
+
+def _complete_bipartite(a, b):
+    return from_edge_list(a + b, [(i, a + j) for i in range(1, a + 1) for j in range(1, b + 1)])
 
 
 def _complete_minus(n, missing):
@@ -491,14 +499,16 @@ def test_refine_equals_the_full_rounds():
                 _check_cells(child, cells)
                 expected = _individualize_by_ranking(n, adj, colors, v)
                 assert _ranks(child) == expected
-                assert isomorphism._prefix_bits(adj, child, prefix, placed) == (
+                columns, child_placed = isomorphism._prefix_bits(adj, child, placed)
+                assert (prefix + columns, child_placed) == (
                     _full_prefix_bits(adj_sets, expected),
                     _leading_singletons(expected),
                 )
                 checked += 1
             cells = isomorphism._individualize(adj, cells, rng.choice(split))
             colors = _ranks(cells)
-            prefix, placed = isomorphism._prefix_bits(adj, cells, prefix, placed)
+            columns, placed = isomorphism._prefix_bits(adj, cells, placed)
+            prefix += columns
     assert checked > 1000
 
 
@@ -525,15 +535,17 @@ PIN_GRAPHS = {
     "H over Z4": lambda: _lift_of(fixtures.BASE_H, (4,), 4),
     "H over Z6": lambda: _lift_of(fixtures.BASE_H, (6,), 5),
     "H over Z2xZ4": lambda: _lift_of(fixtures.BASE_H, (2, 4), 6),
-    "C512": lambda: _cycle(512),
-    "Q9": lambda: _hypercube(9),
-    "H over Z80, 1 on (5, 6)": lambda: _lift_of_one_voltage(80),
+    "C192": lambda: _cycle(192),
+    "H over Z32, 1 on (5, 6)": lambda: _lift_of_one_voltage(32),
+    "K1,63": lambda: _star(64),
+    "K32,32": lambda: _complete_bipartite(32, 32),
 }
 
 # sha256 of repr((edges, relabeling)) of canonical_form on a seeded
 # relabeling of each graph of PIN_GRAPHS, at the commit that pinned them (the
-# 512-scale graphs with the ceiling lifted, at the commit before it rose to
-# 512); every later change must keep them.
+# 192-vertex graphs, K1,63 and K32,32 at the commit before the ceiling rose
+# to 192, the 192-vertex ones with the ceiling lifted); every later change
+# must keep them.
 PINNED_FORMS = {
     "C64": "26d086b92ad151763b46c882d7638a74bc168f0ab7a8365344cd22e6362821a3",
     "Q5": "2d51c3d81b05b18868da895b9d198d836453bb17b9cd72cd61484bcdca7b560c",
@@ -545,9 +557,10 @@ PINNED_FORMS = {
     "H over Z4": "6f319b6d9de47b9719ccb444d429f77bea779c7ab23bd737ef627b2e8e2b85c6",
     "H over Z6": "dbb85e73c5dc51ee4c6c60125a2e42cfce91d6327c1cd6e124fff34b70853dda",
     "H over Z2xZ4": "043dc09e429aca44bbde41ca6292aaa7d4a6ea6f9b0d925f04eea5b08a352f7a",
-    "C512": "010dea266eb5e5834c9b065756d33bb2de87a98a8408d6cf0965c458f7b310e5",
-    "Q9": "47387bc92eeac7a8d318e9ab30b09f7e5c4144d78345e3ffcd37a8ba26de48ec",
-    "H over Z80, 1 on (5, 6)": "1ff546cd8de9e1e8334bab52e2f2b04d0ae8e35dbdcaa7a1f588a59556bf7d91",
+    "C192": "ed54689dcc37e0304e2aa5c8148d5a244e3bf2c956df1a59d674960a7ca19565",
+    "H over Z32, 1 on (5, 6)": "307735d134f0a91baef8fdfc5064224077264351c4d1c83f552d10040530a29f",
+    "K1,63": "32d04ab3946caed8184e67db6970177bd8dcab8edaebd8203c3775e654571f68",
+    "K32,32": "66c676cb55d15c02eef66dd43981af370f87d2b64aff044e37db52ffa0158339",
 }
 
 
@@ -597,13 +610,17 @@ def test_graphs_at_the_size_ceiling_finish_within_the_stated_bound():
     assert time.perf_counter() - start < 5.0
 
 
-def test_graphs_of_512_vertices_finish_within_the_stated_bound():
-    """C512, the hypercube Q9 and the 480-vertex lift of H over Z80 whose
-    only non-identity voltage is 1 on (5, 6), each against a seeded
-    relabeling: each graph's two canonical forms finish in under 10 s."""
-    graphs = [_cycle(512), _hypercube(9), _lift_of_one_voltage(80)]
+def test_graphs_of_192_vertices_finish_within_the_stated_bound():
+    """C192, the 192-vertex lift of H over Z32 whose only non-identity
+    voltage is 1 on (5, 6), the star K1,191 and the complete bipartite graph
+    K96,96, each against a seeded relabeling: each graph's two canonical
+    forms finish in under 10 s. The star and K96,96 are the costly shapes at
+    this size: one class of twins, whose first search path individualizes
+    them one at a time, building every sibling at every level, and whose
+    later branches each join one recorded automorphism per level below."""
+    graphs = [_cycle(192), _lift_of_one_voltage(32), _star(192), _complete_bipartite(96, 96)]
     assert max(g.n for g in graphs) == isomorphism.SIZE_CEILING
-    rng = random.Random(512)
+    rng = random.Random(192)
     for g in graphs:
         start = time.perf_counter()
         assert canonical_form(g).edges == canonical_form(_shuffled(g, rng)).edges
@@ -612,9 +629,10 @@ def test_graphs_of_512_vertices_finish_within_the_stated_bound():
 
 # sum over the search of _individualize calls of canonical_form on the seeded
 # relabeling of each graph of PIN_GRAPHS, measured at the commit before the
-# orbits were folded in incrementally, and for the 512-scale graphs at the
-# commit before orbits were joined only over the target cell (with the
-# ceiling lifted): the same children must be skipped.
+# orbits were folded in incrementally, and for the 192-vertex graphs, K1,63
+# and K32,32 at the commit before orbits were joined only over the target
+# cell (the 192-vertex ones with the ceiling lifted): the same children must
+# be skipped.
 PINNED_INDIVIDUALIZE_CALLS = {
     "C64": 70,
     "Q5": 66,
@@ -626,9 +644,10 @@ PINNED_INDIVIDUALIZE_CALLS = {
     "H over Z4": 19,
     "H over Z6": 49,
     "H over Z2xZ4": 36,
-    "C512": 516,
-    "Q9": 623,
-    "H over Z80, 1 on (5, 6)": 3646,
+    "C192": 198,
+    "H over Z32, 1 on (5, 6)": 694,
+    "K1,63": 3967,
+    "K32,32": 3098,
 }
 
 
