@@ -15,7 +15,6 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import dataclass
 
 from . import fixtures
 from .algebra import AbelianGroup, AlgebraError, parse_group, poly_text
@@ -24,6 +23,7 @@ from .graphs import (
     GraphError,
     adjacency_matrix,
     adjacency_matrix_problems,
+    data_lines,
     emit_edge_list,
     emit_graph6,
     from_adjacency_matrix,
@@ -37,7 +37,6 @@ from .lifts import (
     build_lift,
     constant_signature,
     emit_signature,
-    make_signature,
     parse_signature,
 )
 from .search import (
@@ -49,19 +48,6 @@ from .search import (
     signature_from_rank,
 )
 from .spectra import charpoly, cospectral, verify_decomposition
-
-
-@dataclass(frozen=True)
-class FixtureSet:
-    """The bundled worked example: base pair, signatures, and the two 18x18
-    matrices transcribed verbatim."""
-
-    g: Graph
-    h: Graph
-    sig_g: Signature
-    sig_h: Signature
-    matrix_g: tuple[tuple[int, ...], ...]
-    matrix_h: tuple[tuple[int, ...], ...]
 
 
 def matrix_problems(m) -> list[str]:
@@ -76,15 +62,10 @@ def matrix_problems(m) -> list[str]:
     return problems
 
 
-def fixture_set() -> FixtureSet:
-    return FixtureSet(
-        fixtures.BASE_G,
-        fixtures.BASE_H,
-        fixtures.EXAMPLE_SIGNATURE_G,
-        fixtures.EXAMPLE_SIGNATURE_H,
-        fixtures.LIFT_MATRIX_G,
-        fixtures.LIFT_MATRIX_H,
-    )
+def fixture_set():
+    """The bundled example: the `fixtures` module itself. Only the set-up of
+    perfbench/worker.py calls it."""
+    return fixtures
 
 
 def _read_text(path: str) -> str:
@@ -103,10 +84,7 @@ def load_graph(path: str) -> Graph:
     """Read a graph file: edge-list text if the first data line is numeric,
     otherwise graph6."""
     text = _read_text(path)
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for _, line, _ in data_lines(text):
         parts = line.split()
         if all(p.lstrip("-").isdigit() for p in parts) and len(parts) >= 2:
             return parse_edge_list(text)
@@ -229,10 +207,7 @@ def _decomposition_subcases():
     bundled signatures via the corollary substitution."""
     z2 = AbelianGroup((2,))
     z3 = AbelianGroup((3,))
-    square_sig = make_signature(
-        fixtures.SQUARE, z2, {e: (v,) for e, v in fixtures.SQUARE_VOLTAGES.items()}
-    )
-    cases = [("square 2-lift", fixtures.SQUARE, square_sig)]
+    cases = [("square 2-lift", fixtures.SQUARE, fixtures.SQUARE_SIGNATURE)]
     cases.append(("constant Z2 lift of base G", fixtures.BASE_G, constant_signature(fixtures.BASE_G, z2, (1,))))
     cases.append(("constant Z2 lift of base H", fixtures.BASE_H, constant_signature(fixtures.BASE_H, z2, (1,))))
     sg3, sh3 = corollary_generate(
@@ -247,39 +222,30 @@ def run_bundled_checks() -> tuple[list[str], bool]:
     """The bundled verification suite. Returns the report lines and whether
     every expected-pass check (1, 2, 3, 6) passed; checks 4 and 5 are
     informational."""
-    lines: list[str] = []
-    expected_ok = True
-    fs = fixture_set()
-
-    def report(tag: str, ok: bool | None, text: str) -> None:
-        nonlocal expected_ok
-        if ok is None:
-            lines.append(f"INFO {tag} {text}")
-        else:
-            lines.append(f"{'PASS' if ok else 'FAIL'} {tag} {text}")
-            if not ok:
-                expected_ok = False
+    g, h = fixtures.BASE_G, fixtures.BASE_H
+    checks: list[tuple[str, bool | None, str]] = []  # (tag, ok or None for INFO, text)
 
     # (1) the 6-vertex base pair
-    p_g, p_h = charpoly(fs.g), charpoly(fs.h)
-    report(
-        "(1)",
-        p_g == p_h,
-        f"base pair cospectral: charpoly {poly_text(p_g)} vs {poly_text(p_h)}",
+    p_g, p_h = charpoly(g), charpoly(h)
+    checks.append(
+        ("(1)", p_g == p_h, f"base pair cospectral: charpoly {poly_text(p_g)} vs {poly_text(p_h)}")
     )
 
     # (2) transcribed 18x18 matrices; graphs are built only from well-formed ones
-    probs = matrix_problems(fs.matrix_g) + matrix_problems(fs.matrix_h)
+    probs = matrix_problems(fixtures.LIFT_MATRIX_G) + matrix_problems(fixtures.LIFT_MATRIX_H)
     fg = fh = None
-    if not probs:
-        fg, fh = from_adjacency_matrix(fs.matrix_g), from_adjacency_matrix(fs.matrix_h)
-    ok2 = not probs and cospectral(fg, fh)
-    detail = "; ".join(probs) if probs else f"shared charpoly {poly_text(charpoly(fg))}"
-    report("(2)", ok2, f"transcribed matrices well-formed and cospectral: {detail}")
+    if probs:
+        ok2, detail = False, "; ".join(probs)
+    else:
+        fg = from_adjacency_matrix(fixtures.LIFT_MATRIX_G)
+        fh = from_adjacency_matrix(fixtures.LIFT_MATRIX_H)
+        p_fg = charpoly(fg)
+        ok2, detail = p_fg == charpoly(fh), f"shared charpoly {poly_text(p_fg)}"
+    checks.append(("(2)", ok2, f"transcribed matrices well-formed and cospectral: {detail}"))
 
     # (3) lifts rebuilt from the bundled signatures
-    built_g = build_lift(fs.g, fs.sig_g)
-    built_h = build_lift(fs.h, fs.sig_h)
+    built_g = build_lift(g, fixtures.EXAMPLE_SIGNATURE_G)
+    built_h = build_lift(h, fixtures.EXAMPLE_SIGNATURE_H)
     ok3 = (
         cospectral(built_g, built_h)
         and built_g.n == 18
@@ -287,48 +253,45 @@ def run_bundled_checks() -> tuple[list[str], bool]:
         and len(built_g.edges) == 21
         and len(built_h.edges) == 21
     )
-    report("(3)", ok3, "constructed lifts cospectral: 18 vertices, 21 edges each")
+    checks.append(("(3)", ok3, "constructed lifts cospectral: 18 vertices, 21 edges each"))
 
     # (4) constructed lifts vs the transcribed matrices (the source material
     # never documents its vertex ordering, so this is reported, not asserted)
     if fg is None:
-        report("(4)", None, "constructed vs transcribed: not compared, the transcription is malformed")
+        checks.append(
+            ("(4)", None, "constructed vs transcribed: not compared, the transcription is malformed")
+        )
     else:
         iso = ["yes" if are_isomorphic(b, t)[0] else "no" for b, t in ((built_g, fg), (built_h, fh))]
-        report("(4)", None, f"constructed vs transcribed: G side isomorphic: {iso[0]}; "
-               f"H side isomorphic: {iso[1]}")
-        anomalies = _matching_anomalies(fs)
+        checks.append(("(4)", None, f"constructed vs transcribed: G side isomorphic: {iso[0]}; "
+                       f"H side isomorphic: {iso[1]}"))
+        anomalies = _matching_anomalies()
         if anomalies:
-            report(
-                "(4)",
-                None,
-                "transcription note: fiber blocks without matching structure under "
-                "the package vertex order: " + ", ".join(anomalies) + " (reported, not corrected)",
-            )
+            checks.append(("(4)", None, "transcription note: fiber blocks without matching structure "
+                           "under the package vertex order: " + ", ".join(anomalies)
+                           + " (reported, not corrected)"))
 
     # (5) the constructed pair itself
     iso_pair, _ = are_isomorphic(built_g, built_h)
-    report("(5)", None, f"constructed lift pair non-isomorphic: {'yes' if not iso_pair else 'no'}")
+    checks.append(("(5)", None, f"constructed lift pair non-isomorphic: {'yes' if not iso_pair else 'no'}"))
 
     # (6) character decomposition on abelian sub-cases
-    sub_ok = 0
     cases = _decomposition_subcases()
-    for _, base, sig in cases:
-        if verify_decomposition(base, sig).holds:
-            sub_ok += 1
-    report(
-        "(6)",
-        sub_ok == len(cases),
-        f"character decomposition on abelian sub-cases: {sub_ok}/{len(cases)} hold",
-    )
-    return lines, expected_ok
+    sub_ok = sum(verify_decomposition(base, sig).holds for _, base, sig in cases)
+    text = f"character decomposition on abelian sub-cases: {sub_ok}/{len(cases)} hold"
+    checks.append(("(6)", sub_ok == len(cases), text))
+    lines = [f"{'INFO' if ok is None else 'PASS' if ok else 'FAIL'} {tag} {text}" for tag, ok, text in checks]
+    return lines, all(ok is not False for _, ok, _ in checks)
 
 
-def _matching_anomalies(fs: FixtureSet) -> list[str]:
+def _matching_anomalies() -> list[str]:
     """Fiber blocks of the transcribed matrices that are not permutation
     matrices under the vertex-major order used by build_lift."""
     out = []
-    for name, base, matrix in (("G", fs.g, fs.matrix_g), ("H", fs.h, fs.matrix_h)):
+    for name, base, matrix in (
+        ("G", fixtures.BASE_G, fixtures.LIFT_MATRIX_G),
+        ("H", fixtures.BASE_H, fixtures.LIFT_MATRIX_H),
+    ):
         d = 3
         for i, j in base.edges:
             block_rows = [

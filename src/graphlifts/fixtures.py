@@ -10,7 +10,7 @@ instead of silently papered over.
 
 from __future__ import annotations
 
-from .algebra import SymmetricGroup, parse_element
+from .algebra import AbelianGroup, SymmetricGroup, parse_element
 from .graphs import Graph, from_edge_list
 from .lifts import Signature, make_signature
 
@@ -52,10 +52,12 @@ EXAMPLE_SIGNATURE_H: Signature = _s3_signature(
     },
 )
 
-# Warm-up case: the 4-cycle 1-3-2-4-1 with a single nontrivial voltage;
+# Warm-up case: the 4-cycle 1-3-2-4-1 with a single nontrivial Z2 voltage;
 # its 2-lift is an 8-cycle.
 SQUARE: Graph = from_edge_list(4, [(1, 3), (1, 4), (2, 3), (2, 4)])
-SQUARE_VOLTAGES: dict[tuple[int, int], int] = {(1, 3): 0, (1, 4): 0, (2, 3): 1, (2, 4): 0}
+SQUARE_SIGNATURE: Signature = make_signature(
+    SQUARE, AbelianGroup((2,)), {(1, 3): (0,), (1, 4): (0,), (2, 3): (1,), (2, 4): (0,)}
+)
 
 LIFT_MATRIX_G: tuple[tuple[int, ...], ...] = (
     (0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),

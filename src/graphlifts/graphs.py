@@ -199,8 +199,14 @@ def parse_graph6(text: str) -> Graph:
     return Graph(n, tuple(sorted(pairs)))
 
 
-def _strip_comment(line: str) -> str:
-    return line.split("#", 1)[0].strip()
+def data_lines(text: str):
+    """Yield (lineno, line, raw) for each line of text that still holds data
+    once its '#' comment is cut off: the 1-based line number, the data
+    stripped of surrounding whitespace, and the line as written."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line, raw
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -210,10 +216,7 @@ def parse_edge_list(text: str) -> Graph:
     """
     header: tuple[int, int] | None = None
     pairs: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
-        if not line:
-            continue
+    for lineno, line, raw in data_lines(text):
         parts = line.split()
         try:
             nums = [int(p) for p in parts]

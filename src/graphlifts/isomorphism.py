@@ -79,14 +79,17 @@ the search would then reach no leaves, record no automorphisms and explore
 every node whose prefix matches T's.
 
 Every graph is canonicalized one connected component at a time, in full or
-in target mode, and the component forms concatenated in a fixed invariant
-order; lifts are often disjoint unions of isomorphic copies, and
-per-component search keeps those out of the factorial worst case. A graph
-with no vertices has no components and the empty form. Each component's
-search also returns the leaf string it reached, the component's own
-canonical string. In target mode each component's target is the least
-string of the first graph's components of its vertex count, and a component
-of a count they lack means the graphs are not isomorphic.
+in target mode; lifts are often disjoint unions of isomorphic copies, and
+per-component search keeps those out of the factorial worst case. A
+component is searched on its slice of the graph's neighbour lists,
+renumbered by position, which keeps them sorted, and returns its labeling
+and the leaf string it reached, its own canonical string. Components are
+concatenated by (vertex count, sorted canonical edges), an invariant order,
+each offset past those before it, so the edges come out sorted. A graph
+with no vertices has no components and the empty form. In target mode each
+component's target is the least string of the first graph's components of
+its vertex count, and a component of a count they lack means the graphs are
+not isomorphic.
 
 Graphs above the vertex ceiling are refused. A node holds its children's
 partitions while it explores them, so a path holds at most n of them per
@@ -246,13 +249,12 @@ def _prefix_bits(adj: list[list[int]], cells: Cells, placed: int = 0) -> tuple[b
     return bytes(bits), placed
 
 
-def _components(g: Graph) -> list[list[int]]:
-    """Connected components as sorted 1-based vertex lists, ordered by least
+def _components(adj: list[list[int]]) -> list[list[int]]:
+    """Connected components as sorted 0-based vertex lists, ordered by least
     vertex."""
-    adj = neighbor_lists(g)
-    seen = [False] * g.n
+    seen = [False] * len(adj)
     comps = []
-    for start in range(g.n):
+    for start in range(len(adj)):
         if seen[start]:
             continue
         stack = [start]
@@ -260,7 +262,7 @@ def _components(g: Graph) -> list[list[int]]:
         comp = []
         while stack:
             v = stack.pop()
-            comp.append(v + 1)
+            comp.append(v)
             for u in adj[v]:
                 if not seen[u]:
                     seen[u] = True
@@ -282,38 +284,41 @@ def _canonical(
     component's (vertex count, leaf string). Given `targets`, each component
     is searched in target mode against the target of its vertex count, and
     None means g is not isomorphic to the graph the targets come from."""
-    comps = _components(g)
+    adj = neighbor_lists(g)
+    comps = _components(adj)
     if targets is not None and any(len(comp) not in targets for comp in comps):
         return None
-    where = {}  # vertex -> (its component's index, its 1-based position there)
-    for idx, comp in enumerate(comps):
-        for k, v in enumerate(comp, start=1):
-            where[v] = idx, k
-    comp_edges: list[list[tuple[int, int]]] = [[] for _ in comps]
-    for i, j in g.edges:
-        (idx, a), (_, b) = where[i], where[j]
-        comp_edges[idx].append((a, b))
+    local = [0] * g.n  # vertex -> its position in its component
+    for comp in comps:
+        for k, v in enumerate(comp):
+            local[v] = k
     pieces = []
-    for comp, local_edges in zip(comps, comp_edges):
-        # positions keep vertex order, so the edges stay sorted
-        sub = Graph(len(comp), tuple(local_edges))
+    for comp in comps:
+        # positions keep vertex order, so each neighbour list stays sorted
+        sub = [[local[u] for u in adj[v]] for v in comp]
         found = _canonical_connected(sub, None if targets is None else targets[len(comp)])
         if found is None:
             return None
-        pieces.append((comp, *found))
+        labels, bits = found
+        # each edge is listed from both ends; keep the end with the smaller label
+        edges = sorted(
+            (labels[a], labels[b]) for a, row in enumerate(sub) for b in row if labels[a] < labels[b]
+        )
+        pieces.append((len(comp), edges, comp, labels, bits))
     # order components by an isomorphism-invariant key; equal keys mean
     # identical forms, so the concatenation does not depend on tie order
-    pieces.sort(key=lambda p: (p[1].n, p[1].edges))
+    pieces.sort(key=lambda p: (p[0], p[1]))
     relabeling = [0] * g.n
-    edges: list[tuple[int, int]] = []
-    offset = 0
-    for comp, form, _ in pieces:
-        for v, label in zip(comp, form.relabeling):
-            relabeling[v - 1] = offset + label
-        edges.extend((offset + a, offset + b) for a, b in form.edges)
-        offset += form.n
-    strings = [(form.n, bits) for _, form, bits in pieces]
-    return CanonicalForm(g.n, tuple(sorted(edges)), tuple(relabeling)), strings
+    all_edges: list[tuple[int, int]] = []
+    offset = 1
+    for n, edges, comp, labels, _ in pieces:
+        for v, label in zip(comp, labels):
+            relabeling[v] = offset + label
+        # the offsets increase, so the concatenation stays sorted
+        all_edges.extend((offset + a, offset + b) for a, b in edges)
+        offset += n
+    strings = [(n, bits) for n, _, _, _, bits in pieces]
+    return CanonicalForm(g.n, tuple(all_edges), tuple(relabeling)), strings
 
 
 def _find(rep: dict[int, int], v: int) -> int:
@@ -352,18 +357,17 @@ def _links(gamma: list[int]) -> list[tuple[int, int]]:
 
 
 def _canonical_connected(
-    g: Graph, target: bytes | None = None
-) -> tuple[CanonicalForm, bytes] | None:
-    """Canonical form of a connected graph and the leaf string it reached.
-    Given the leaf string `target` of a graph of the same order, stop at the
-    first leaf that reaches it, or return None as soon as a node's prefix is
-    less than the target's."""
-    n = g.n
-    if len(g.edges) == n * (n - 1) // 2:
+    adj: list[list[int]], target: bytes | None = None
+) -> tuple[list[int], bytes] | None:
+    """Canonical labeling of a connected graph, given as sorted 0-based
+    neighbour lists, and the leaf string it reached: labels[v] is the
+    0-based canonical label of vertex v. Given the leaf string `target` of a
+    graph of the same order, stop at the first leaf that reaches it, or
+    return None as soon as a node's prefix is less than the target's."""
+    n = len(adj)
+    if all(len(row) == n - 1 for row in adj):
         # complete graph: every ordering yields the same all-ones string
-        all_pairs = tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
-        return CanonicalForm(n, all_pairs, tuple(range(1, n + 1))), b"\x01" * len(all_pairs)
-    adj = neighbor_lists(g)
+        return list(range(n)), b"\x01" * (n * (n - 1) // 2)
     best: dict = {"bits": None, "labels": None, "path": None}
     # each automorphism maps the best leaf's vertex order onto the order of a
     # later leaf with the same string: (gamma, its _links), where gamma[v] is
@@ -442,12 +446,7 @@ def _canonical_connected(
     # the search ends early at a leaf equal to the target or at a prefix below it
     if search(root, [], *_prefix_bits(adj, root), []) == -1 and best["bits"] != target:
         return None
-    relabeling = tuple(x + 1 for x in best["labels"])
-    edges = sorted(
-        (min(relabeling[i - 1], relabeling[j - 1]), max(relabeling[i - 1], relabeling[j - 1]))
-        for i, j in g.edges
-    )
-    return CanonicalForm(n, tuple(edges), relabeling), best["bits"]
+    return best["labels"], best["bits"]
 
 
 def are_isomorphic(g: Graph, h: Graph) -> tuple[bool, tuple[int, ...] | None]:

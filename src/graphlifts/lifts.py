@@ -27,7 +27,7 @@ from .algebra import (
     parse_group,
     require_member,
 )
-from .graphs import Graph, from_edge_list
+from .graphs import Graph, data_lines, from_edge_list
 
 
 class SignatureError(ValueError):
@@ -85,7 +85,9 @@ class Signature:
 def make_signature(base: Graph, group: GroupSpec, assignments: dict) -> Signature:
     """Validate and freeze a signature: every base edge exactly once, every
     element in the group. constant_signature and parse_signature end here,
-    so each rule has one error text."""
+    so a missing edge has one error text, and an element outside the group
+    has require_member's. parse_signature reports an unknown or repeated
+    edge itself, naming the line, and puts the line before an element's."""
     edge_set = set(base.edges)
     for pair, elem in assignments.items():
         if tuple(pair) not in edge_set:
@@ -113,10 +115,7 @@ def parse_signature(text: str, base: Graph) -> Signature:
     group: GroupSpec | None = None
     assignments: dict = {}
     edge_set = set(base.edges)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line, raw in data_lines(text):
         if group is None:
             parts = line.split(None, 1)
             if len(parts) != 2 or parts[0] != "group":

@@ -13,7 +13,6 @@ import networkx as nx
 from graphlifts import fixtures
 from graphlifts.algebra import (
     AbelianGroup,
-    berkowitz_charpoly,
     characters,
     compose,
     inverse,
@@ -22,9 +21,8 @@ from graphlifts.algebra import (
 )
 from graphlifts.graphs import Graph, emit_graph6, from_adjacency_matrix, from_edge_list, parse_graph6
 from graphlifts.isomorphism import are_isomorphic, canonical_form
-from graphlifts.lifts import build_constant_lift, build_lift, constant_signature, make_signature
+from graphlifts.lifts import build_constant_lift, build_lift, make_signature
 from graphlifts.search import (
-    SearchOptions,
     check_condition1,
     conditions_hold,
     corollary_generate,
@@ -96,10 +94,7 @@ def test_criterion_03_constructed_lifts_cospectral():
 
 def test_criterion_04_square_double_cover_is_octagon():
     t0 = time.perf_counter()
-    sig = make_signature(
-        fixtures.SQUARE, Z2, {e: (v,) for e, v in fixtures.SQUARE_VOLTAGES.items()}
-    )
-    lifted = build_lift(fixtures.SQUARE, sig)
+    lifted = build_lift(fixtures.SQUARE, fixtures.SQUARE_SIGNATURE)
     c8 = from_edge_list(8, [(i, i + 1) for i in range(1, 8)] + [(1, 8)])
     ok = canonical_form(lifted).edges == canonical_form(c8).edges
     _report(4, ok, time.perf_counter() - t0, 0.1, "2-lift of the square is the 8-cycle")

@@ -2,14 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from graphlifts.algebra import (
     AbelianGroup,
     BadElementText,
     BadGroupSpec,
-    Character,
-    CycloElem,
     ElementNotInGroup,
     SymmetricGroup,
     berkowitz_charpoly,

@@ -8,10 +8,18 @@ from collections import Counter
 import pytest
 
 from graphlifts import cli, fixtures
-from graphlifts.cli import fixture_set, load_graph, main, matrix_problems, run_bundled_checks
-from graphlifts.graphs import emit_edge_list, emit_graph6, from_edge_list, parse_graph6
+from graphlifts.cli import load_graph, main, matrix_problems, run_bundled_checks
+from graphlifts.graphs import (
+    MalformedEdgeList,
+    MalformedGraph6,
+    emit_edge_list,
+    emit_graph6,
+    from_edge_list,
+    parse_edge_list,
+    parse_graph6,
+)
 from graphlifts.isomorphism import relabeled
-from graphlifts.lifts import emit_signature
+from graphlifts.lifts import SignatureError, emit_signature, parse_signature
 
 
 @pytest.fixture
@@ -223,10 +231,9 @@ def test_iso_past_size_ceiling_exits_2(capsys, tmp_path):
 
 
 def test_fixture_set_matrices_are_well_formed():
-    fs = fixture_set()
-    assert matrix_problems(fs.matrix_g) == []
-    assert matrix_problems(fs.matrix_h) == []
-    assert fs.g == fixtures.BASE_G and fs.h == fixtures.BASE_H
+    assert matrix_problems(fixtures.LIFT_MATRIX_G) == []
+    assert matrix_problems(fixtures.LIFT_MATRIX_H) == []
+    assert cli.fixture_set() is fixtures
 
 
 def test_matrix_problems_detects_defects():
@@ -393,3 +400,42 @@ def test_cli_determinism_across_jobs():
     assert run1.returncode == run8.returncode == 0
     assert run1.stdout == run8.stdout
     assert len(run1.stdout.splitlines()) == 2048
+
+
+def _dressed(data: list[str]) -> str:
+    """The data lines as a file with a comment-only first line, a trailing
+    comment on each data line, a blank line after each, and CRLF line ends:
+    data line k is line 2k + 2."""
+    lines = ["# comment-only first line"]
+    for k, line in enumerate(data):
+        lines += [f"{line}  # note {k}", ""]
+    return "\r\n".join(lines) + "\r\n"
+
+
+def test_readers_agree_on_comments_blank_lines_and_crlf(tmp_path):
+    path = tmp_path / "graph.txt"
+    edges = ["3 2", "1 2", "2 3"]
+    path.write_bytes(_dressed(edges).encode())
+    p3 = from_edge_list(3, [(1, 2), (2, 3)])
+    assert parse_edge_list(_dressed(edges)) == parse_edge_list("\n".join(edges)) == p3
+    assert load_graph(str(path)) == p3
+
+    path.write_bytes(_dressed([emit_graph6(fixtures.BASE_H)]).encode())
+    assert load_graph(str(path)) == fixtures.BASE_H
+
+    sig = ["group Z2", "1 2 : 1", "2 3 : 0"]
+    assert parse_signature(_dressed(sig), p3) == parse_signature("\n".join(sig), p3)
+
+    # the second data line is bad: each reader names line 4 of the file
+    path.write_bytes(_dressed(["3 2", "1 x"]).encode())
+    message = "line 4: expected integers, got '1 x  # note 1'"
+    with pytest.raises(MalformedEdgeList, match=f"^{message}$"):
+        parse_edge_list(_dressed(["3 2", "1 x"]))
+    with pytest.raises(MalformedEdgeList, match=f"^{message}$"):
+        load_graph(str(path))
+    with pytest.raises(SignatureError, match="^line 4: expected two endpoints before ':'$"):
+        parse_signature(_dressed(["group Z2", "1 x : 0"]), p3)
+    # a graph6 line's offsets count from the start of its data
+    path.write_bytes(_dressed(["A_x"]).encode())
+    with pytest.raises(MalformedGraph6, match=r"^trailing data after 1 body bytes \(byte offset 2\)$"):
+        load_graph(str(path))

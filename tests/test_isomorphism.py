@@ -215,16 +215,14 @@ def _leading_singletons(colors):
     return placed
 
 
-def _unpruned_canonical_connected(g, target=None):
+def _unpruned_canonical_connected(adj, target=None):
     """The backtracking without automorphism pruning: every child of every
     node is explored, with the full-round refinement and prefix bits. The
-    pruned search must return exactly its result, the form and the leaf
+    pruned search must return exactly its result, the labeling and the leaf
     string; `target` is ignored, since only full searches are compared."""
-    n = g.n
-    if len(g.edges) == n * (n - 1) // 2:
-        all_pairs = tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
-        return isomorphism.CanonicalForm(n, all_pairs, tuple(range(1, n + 1))), b"\x01" * len(all_pairs)
-    adj = neighbor_lists(g)
+    n = len(adj)
+    if all(len(row) == n - 1 for row in adj):
+        return list(range(n)), b"\x01" * (n * (n - 1) // 2)
     adj_sets = [set(row) for row in adj]
     best = {"bits": None, "colors": None}
 
@@ -257,8 +255,7 @@ def _unpruned_canonical_connected(g, target=None):
             search(child)
 
     search(_refine_by_full_rounds(n, adj, [0] * n))
-    relabeling = tuple(c + 1 for c in best["colors"])
-    return isomorphism.CanonicalForm(n, relabeled(g, relabeling).edges, relabeling), best["bits"]
+    return best["colors"], best["bits"]
 
 
 def _shuffled(g, rng):

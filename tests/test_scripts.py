@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -25,3 +26,15 @@ def test_script_runs_clean(script, args):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_readme_library_snippet_runs(capsys):
+    """README's one python block runs as written, so the library docs cannot
+    drift from the library."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        blocks = re.findall(r"^```python\n(.*?)^```$", fh.read(), flags=re.S | re.M)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].endswith(" cospectral pairs")
+    assert len(out) == 2

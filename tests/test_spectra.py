@@ -6,7 +6,7 @@ from graphlifts import fixtures
 from graphlifts.algebra import AbelianGroup, poly_mul, poly_text
 from graphlifts.graphs import from_edge_list
 from graphlifts.isomorphism import are_isomorphic, relabeled
-from graphlifts.lifts import NonAbelianSignature, build_constant_lift, constant_signature, make_signature
+from graphlifts.lifts import NonAbelianSignature, build_constant_lift, make_signature
 from graphlifts.spectra import (
     PreconditionFailed,
     charpoly,
