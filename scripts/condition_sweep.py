@@ -12,7 +12,6 @@ import sys
 
 from graphlifts.algebra import parse_group
 from graphlifts.fixtures import BASE_G, BASE_H
-from graphlifts.lifts import build_lift
 from graphlifts.search import conditions_hold, signature_count, signature_from_rank
 from graphlifts.spectra import lift_charpoly
 
@@ -28,13 +27,13 @@ def sweep_pairs(group_text: str, trials: int, seed: int):
     def charpoly_g(rank):
         if rank not in poly_g:
             sig = signature_from_rank(BASE_G, gr, rank)
-            poly_g[rank] = (sig, tuple(lift_charpoly(build_lift(BASE_G, sig), gr)))
+            poly_g[rank] = (sig, tuple(lift_charpoly(BASE_G, sig)))
         return poly_g[rank]
 
     def charpoly_h(rank):
         if rank not in poly_h:
             sig = signature_from_rank(BASE_H, gr, rank)
-            poly_h[rank] = (sig, tuple(lift_charpoly(build_lift(BASE_H, sig), gr)))
+            poly_h[rank] = (sig, tuple(lift_charpoly(BASE_H, sig)))
         return poly_h[rank]
 
     exhaustive = total_g * total_h <= trials

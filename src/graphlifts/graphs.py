@@ -210,12 +210,15 @@ def data_lines(text: str):
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse edge-list text: header line 'n m', then m lines 'i j', 1-based.
+    """Parse edge-list text: header line 'n m', then m lines 'i j', 1-based,
+    one line per edge. An edge listed twice, in either orientation, raises
+    MalformedEdgeList naming the line that repeats it.
 
     '#' starts a comment; blank lines are ignored.
     """
     header: tuple[int, int] | None = None
     pairs: list[tuple[int, int]] = []
+    first_line: dict[tuple[int, int], int] = {}
     for lineno, line, raw in data_lines(text):
         parts = line.split()
         try:
@@ -229,7 +232,12 @@ def parse_edge_list(text: str) -> Graph:
             continue
         if len(nums) != 2:
             raise MalformedEdgeList(f"line {lineno}: edge line must be 'i j', got {raw.strip()!r}")
-        pairs.append((nums[0], nums[1]))
+        i, j = nums
+        edge = (i, j) if i < j else (j, i)
+        if edge in first_line:
+            raise MalformedEdgeList(f"line {lineno}: edge ({i},{j}) already listed on line {first_line[edge]}")
+        first_line[edge] = lineno
+        pairs.append((i, j))
     if header is None:
         raise MalformedEdgeList("no header line 'n m' found")
     n, m = header

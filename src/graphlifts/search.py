@@ -385,8 +385,8 @@ def _blocks(g: Graph, h: Graph, gr: AbelianGroup, filter_by_theorem: bool, on_fi
     classes_h = SwitchingClasses(h, gr)
     reps_g = [classes_g.representative(c) for c in range(classes_g.count)]
     reps_h = [classes_h.representative(c) for c in range(classes_h.count)]
-    polys_g = [tuple(lift_charpoly(build_lift(g, s), gr)) for s in reps_g]
-    polys_h = [tuple(lift_charpoly(build_lift(h, s), gr)) for s in reps_h]
+    polys_g = [tuple(lift_charpoly(g, s)) for s in reps_g]
+    polys_h = [tuple(lift_charpoly(h, s)) for s in reps_h]
 
     # Join: every pair of classes that yields rows, with the conditions.
     classes_h_by_poly: dict[tuple[int, ...], list[int]] = {}

@@ -1,17 +1,20 @@
 """Exact spectra: characteristic polynomials, cospectrality, and the
 character decomposition of lifted graphs.
 
-Cospectrality is decided only by exact integer polynomial equality. A lift's
-charpoly comes from closed walks at one vertex per fibre, all walked
-together with one packed integer per vertex (lift_charpoly); any other
-graph's comes from the Berkowitz recursion. The decomposition check
-multiplies, over all characters chi of an abelian voltage group, the
-charpoly of the matrix whose (i, j) entry is chi of the edge voltage
-(inverse on the mirrored entry), and compares the product with the lift's
-charpoly. That product has integer coefficients of bounded size, so it is
-computed exactly as the image of the character values under a ring
-homomorphism Z[zeta_K] -> Z/MZ, with Berkowitz charpolys mod M, one per
-pair of conjugate characters (see verify_decomposition).
+Cospectrality is decided only by exact integer polynomial equality. The
+charpoly of an abelian lift comes from closed walks at one vertex per fibre,
+all walked together with one packed integer per vertex (lift_charpoly). It
+takes the base and the signature, as build_lift does, and walks the lift
+that build_lift makes, whose fibre translations are automorphisms by
+construction. Any other graph's charpoly comes from the Berkowitz
+recursion. The decomposition check multiplies, over all characters chi of
+an abelian voltage group, the charpoly of the matrix whose (i, j) entry is
+chi of the edge voltage (inverse on the mirrored entry), and compares the
+product with the lift's charpoly. That product has integer coefficients of
+bounded size, so it is computed exactly as the image of the character
+values under a ring homomorphism Z[zeta_K] -> Z/MZ, with Berkowitz
+charpolys mod M, one per pair of conjugate characters (see
+verify_decomposition).
 """
 
 from __future__ import annotations
@@ -25,21 +28,15 @@ from .algebra import (
     characters,
     compose,
     cyclotomic_poly,
-    fiber_action,
     inverse,
     poly_mul,
 )
 from .graphs import Graph, adjacency_matrix, degree_sequence, neighbor_lists
-from .lifts import NonAbelianSignature, Signature, build_constant_lift, build_lift
+from .lifts import NonAbelianSignature, Signature, build_lift, constant_signature
 
 
 class PreconditionFailed(ValueError):
     """A lemma verification was called outside its hypotheses."""
-
-
-class NotFibreSymmetric(ValueError):
-    """lift_charpoly was given a graph that the fibre translations of its
-    group do not map onto itself."""
 
 
 def charpoly(g: Graph) -> list[int]:
@@ -47,45 +44,31 @@ def charpoly(g: Graph) -> list[int]:
     return berkowitz_charpoly(adjacency_matrix(g))
 
 
-def lift_charpoly(lift: Graph, gr: AbelianGroup) -> list[int]:
-    """det(tI - A(lift)) as an integer coefficient list, index = power, for
-    a graph on N = n*|gr| vertices numbered fibre by fibre, as build_lift
-    numbers them, that every fibre translation maps onto itself.
+def lift_charpoly(base: Graph, s: Signature) -> list[int]:
+    """det(tI - A(L)) as an integer coefficient list, index = power, for the
+    lift L = build_lift(base, s) of an abelian signature s over Gr, with its
+    N = n*|Gr| vertices numbered fibre by fibre.
 
-    Translating every fibre by h, (i, a) -> (i, a*h), is then an
-    automorphism, and the translations act transitively on each fibre. So
-    every vertex of fibre i closes as many walks of each length k as its
-    first vertex s_i, and the power sum p_k = tr(A^k) is |gr| times the sum
-    over i of (A^k)[s_i][s_i]. The n starts are walked together, N steps
-    over the union of their components: each vertex v holds one integer
-    whose field i, width = N*bit_length(D) + 1 bits wide for the maximum
-    degree D, is the number of walks of length k from s_i to v. For
-    1 <= k <= N that count is at most D^k <= D^N < 2^(N*bit_length(D)), and
-    for k = 0 it is 1, so no field carries into the next, and p_k is |gr|
-    times the sum of field i at s_i. Newton's identities
-    k*c_k = -sum_{j=1..k} p_j*c_(k-j) turn p_1..p_N into the coefficient
-    c_k of t^(N-k), each division exact.
-
-    Raises NotFibreSymmetric unless translating by each cyclic generator
-    of gr maps the edge set onto itself, which makes every translation an
-    automorphism; the result therefore always describes the graph given.
+    build_lift joins (i, a) to (j, a*g) for each base edge (i, j) of voltage
+    g, so translating every fibre by h, (i, a) -> (i, a*h), takes that edge
+    to (i, a*h)-(j, a*g*h), which is again an edge of L as Gr is abelian:
+    every fibre translation is an automorphism of L, and the translations
+    act transitively on each fibre. So every vertex of fibre i closes as
+    many walks of each length k as its first vertex s_i, and the power sum
+    p_k = tr(A^k) is |Gr| times the sum over i of (A^k)[s_i][s_i]. The n
+    starts are walked together, N steps over the union of their components:
+    each vertex v holds one integer whose field i, width = N*bit_length(D) + 1
+    bits wide for the maximum degree D, is the number of walks of length k
+    from s_i to v. For 1 <= k <= N that count is at most D^k <= D^N <
+    2^(N*bit_length(D)), and for k = 0 it is 1, so no field carries into the
+    next, and p_k is |Gr| times the sum of field i at s_i. Newton's
+    identities k*c_k = -sum_{j=1..k} p_j*c_(k-j) turn p_1..p_N into the
+    coefficient c_k of t^(N-k), each division exact.
     """
-    if not isinstance(gr, AbelianGroup):
+    if not s.is_abelian():
         raise NonAbelianSignature("lift_charpoly requires an abelian group")
-    d, size = gr.order(), lift.n
-    if size % d:
-        raise NotFibreSymmetric(f"{size} vertices do not form fibres of {d}")
-    edges = set(lift.edges)
-    for pos in range(len(gr.orders)):
-        generator = tuple(int(q == pos) % k for q, k in enumerate(gr.orders))
-        shift = fiber_action(gr, generator)
-        image = [0] + [fibre + shift[a] + 1 for fibre in range(0, size, d) for a in range(d)]
-        for u, v in lift.edges:
-            a, b = image[u], image[v]
-            if ((a, b) if a < b else (b, a)) not in edges:
-                raise NotFibreSymmetric(
-                    f"translating the fibres by {generator} moves edge ({u},{v}) off the graph"
-                )
+    lift = build_lift(base, s)
+    d, size = s.group.order(), lift.n
     adj = neighbor_lists(lift)
     # a walk from a start stays in its component; number the union of the
     # starts' components from 0, the starts first
@@ -159,7 +142,7 @@ def verify_decomposition(base: Graph, s: Signature) -> VerifyReport:
     """
     if not s.is_abelian():
         raise NonAbelianSignature("decomposition requires an abelian signature")
-    lift_poly = lift_charpoly(build_lift(base, s), s.group)
+    lift_poly = lift_charpoly(base, s)
     exponent = s.group.exponent()
     bound = 2 * (max(degree_sequence(base), default=0) + 1) ** (base.n * s.group.order())
     phi = cyclotomic_poly(exponent)
@@ -199,6 +182,6 @@ def verify_constant_lift_lemma(g: Graph, h: Graph, gr: AbelianGroup, elem) -> bo
         raise PreconditionFailed(
             "permutation matrix of the voltage is not symmetric (element is not an involution)"
         )
-    lift_g, lift_h = (build_constant_lift(base, gr, elem) for base in (g, h))
-    return lift_charpoly(lift_g, gr) == lift_charpoly(lift_h, gr)
+    lift_g, lift_h = (lift_charpoly(base, constant_signature(base, gr, elem)) for base in (g, h))
+    return lift_g == lift_h
 

@@ -2,8 +2,8 @@
 test-local copies of the computations they replaced: the dense
 Samuelson-Berkowitz recursion and the character product taken in the
 cyclotomic ring Z[x]/(Phi_K), and the one factor it takes per pair of
-conjugate characters. The closed-walk lift charpoly against Berkowitz, and
-its refusal of a graph that is not fibre-symmetric."""
+conjugate characters. The closed-walk lift charpoly against Berkowitz on
+the lift that build_lift makes."""
 
 import random
 
@@ -16,13 +16,13 @@ from graphlifts.algebra import (
     characters,
     cyclo_int,
     cyclotomic_poly,
-    fiber_action,
     inverse,
+    parse_group,
     poly_mul,
 )
 from graphlifts.graphs import Graph, adjacency_matrix, degree_sequence, from_edge_list, neighbor_lists
-from graphlifts.lifts import build_lift, make_signature
-from graphlifts.spectra import NotFibreSymmetric, lift_charpoly, verify_decomposition
+from graphlifts.lifts import NonAbelianSignature, build_lift, make_signature
+from graphlifts.spectra import charpoly, lift_charpoly, verify_decomposition
 
 
 def dense_berkowitz(matrix, zero=0, one=1):
@@ -192,64 +192,32 @@ def test_lift_charpoly_equals_berkowitz(gr):
     bases.append(from_edge_list(6, [(1, 2), (2, 3), (3, 4), (4, 1), (5, 6)]))
     bases += [from_edge_list(1, []), from_edge_list(3, [])]
     for base in bases:
-        lift = build_lift(base, _random_signature(base, gr, rng))
-        poly = lift_charpoly(lift, gr)
+        s = _random_signature(base, gr, rng)
+        poly = lift_charpoly(base, s)
+        lift = build_lift(base, s)
         assert poly == berkowitz_charpoly(adjacency_matrix(lift)), base.edges
         if not base.edges:
             assert poly == [0] * lift.n + [1]
-    assert lift_charpoly(from_edge_list(0, []), gr) == [1]
+    empty = from_edge_list(0, [])
+    assert lift_charpoly(empty, make_signature(empty, gr, {})) == [1]
 
 
-def test_lift_charpoly_on_fibre_symmetric_graphs_that_are_not_lifts():
-    # Edges inside a fibre: circulants on one fibre, and two fibres whose
-    # copies are joined by two matchings.
-    z12 = AbelianGroup((12,))
-    circulant = from_edge_list(12, [(a + 1, (a + s) % 12 + 1) for a in range(12) for s in (1, 5)])
-    z2x4 = AbelianGroup((2, 4))
-    shifts = [fiber_action(z2x4, e) for e in ((0, 1), (1, 2), (1, 0))]
-    two_fibres = from_edge_list(
-        16,
-        [(a + 1, shifts[0][a] + 1) for a in range(8)]
-        + [(a + 1, 8 + shifts[1][a] + 1) for a in range(8)]
-        + [(a + 1, 8 + shifts[2][a] + 1) for a in range(8)],
-    )
-    for graph, gr in ((circulant, z12), (two_fibres, z2x4)):
-        assert lift_charpoly(graph, gr) == berkowitz_charpoly(adjacency_matrix(graph))
+def test_lift_charpoly_over_the_trivial_group_is_the_base_charpoly():
+    # Over Z1 every vertex is its own fibre, so the walk from every start
+    # must give the Berkowitz charpoly of the base itself.
+    rng = random.Random(77)
+    z1 = AbelianGroup((1,))
+    for _ in range(200):
+        base = _random_base(rng, rng.randint(0, 12), rng.random())
+        assert lift_charpoly(base, _random_signature(base, z1, rng)) == charpoly(base), base.edges
 
 
-def _rewired(lift: Graph, rng: random.Random) -> Graph:
-    """The lift with one edge (u, v) moved to (u, w), w not a neighbour of u."""
-    edges = list(lift.edges)
-    u, _ = edges.pop(rng.randrange(len(edges)))
-    taken = {b for a, b in lift.edges if a == u} | {a for a, b in lift.edges if b == u} | {u}
-    w = rng.choice([x for x in range(1, lift.n + 1) if x not in taken])
-    return from_edge_list(lift.n, edges + [(u, w)])
-
-
-def _rewirable_cases(rng):
-    for gr in LIFT_GROUPS:
-        base = from_edge_list(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (2, 4)])
-        s = _random_signature(base, gr, rng)
-        yield base, s, _rewired(build_lift(base, s), rng)
-
-
-def test_lift_charpoly_refuses_a_rewired_lift():
-    rng = random.Random(71)
-    for base, s, rewired in _rewirable_cases(rng):
-        with pytest.raises(NotFibreSymmetric):
-            lift_charpoly(rewired, s.group)
-    with pytest.raises(NotFibreSymmetric):
-        lift_charpoly(from_edge_list(5, [(1, 2)]), AbelianGroup((2,)))  # no fibres of 2
-
-
-def test_verify_decomposition_checks_the_graph_built(monkeypatch):
-    # verify_decomposition takes the lift side from the graph that
-    # build_lift returns: a wrong graph must never be reported as holding.
-    rng = random.Random(72)
-    for base, s, rewired in _rewirable_cases(rng):
-        monkeypatch.setattr(spectra, "build_lift", lambda b, sig, graph=rewired: graph)
-        with pytest.raises(NotFibreSymmetric):
-            verify_decomposition(base, s)
+def test_lift_charpoly_refuses_a_non_abelian_signature():
+    p3 = from_edge_list(3, [(1, 2), (2, 3)])
+    s3 = parse_group("S3")
+    s = make_signature(p3, s3, {e: s3.identity() for e in p3.edges})
+    with pytest.raises(NonAbelianSignature, match="^lift_charpoly requires an abelian group$"):
+        lift_charpoly(p3, s)
 
 
 def _components(graph: Graph) -> list[int]:
@@ -289,7 +257,7 @@ def test_lift_charpoly_with_fibre_starts_in_different_components():
     for base, s in cases:
         lift, starts = _start_components(base, s)
         assert len(set(starts)) > 1, (base.edges, s.assignments)
-        assert lift_charpoly(lift, s.group) == berkowitz_charpoly(adjacency_matrix(lift))
+        assert lift_charpoly(base, s) == berkowitz_charpoly(adjacency_matrix(lift))
 
 
 def test_lift_charpoly_with_fibre_starts_sharing_a_component():
@@ -305,7 +273,7 @@ def test_lift_charpoly_with_fibre_starts_sharing_a_component():
     for s in signatures:
         lift, starts = _start_components(cycle, s)
         assert len(starts) > len(set(starts)), s.assignments
-        assert lift_charpoly(lift, s.group) == berkowitz_charpoly(adjacency_matrix(lift))
+        assert lift_charpoly(cycle, s) == berkowitz_charpoly(adjacency_matrix(lift))
 
 
 def test_lift_charpoly_on_the_densest_bases():
@@ -314,8 +282,8 @@ def test_lift_charpoly_on_the_densest_bases():
     rng = random.Random(75)
     k7 = from_edge_list(7, [(i, j) for i in range(1, 8) for j in range(i + 1, 8)])
     for gr in (AbelianGroup((2, 2, 2)), AbelianGroup((12,))):
-        lift = build_lift(k7, _random_signature(k7, gr, rng))
-        assert lift_charpoly(lift, gr) == berkowitz_charpoly(adjacency_matrix(lift))
+        s = _random_signature(k7, gr, rng)
+        assert lift_charpoly(k7, s) == berkowitz_charpoly(adjacency_matrix(build_lift(k7, s)))
 
 
 def _character_images(base, s):

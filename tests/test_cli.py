@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -175,6 +176,21 @@ def test_non_utf8_input_exits_2(demo, capsys, tmp_path):
     first, second = captured.err.splitlines()
     assert str(graph) in first and str(sig) in second
     assert str(demo["g_edges"]) not in second
+
+
+def test_edge_listed_twice_exits_2(capsys, tmp_path):
+    # one 'i j' line per edge: a repeat, in either orientation, is named by
+    # its line rather than merged into a graph with fewer edges than declared
+    for text, line in (("3 2\n1 2\n2 1\n", "line 3: edge (2,1) already listed on line 2"),
+                       ("# two\n3 3\n1 2\n2 3\n1 2\n", "line 5: edge (1,2) already listed on line 3")):
+        with pytest.raises(MalformedEdgeList, match=f"^{re.escape(line)}$"):
+            parse_edge_list(text)
+        path = tmp_path / "twice.edges"
+        path.write_text(text)
+        assert main(["charpoly", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and line in captured.err
 
 
 def test_shared_options_before_or_after_the_subcommand(demo, capsys):
