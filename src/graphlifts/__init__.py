@@ -19,7 +19,7 @@ from .algebra import (
 )
 from .graphs import Graph, from_edge_list, parse_edge_list, parse_graph6
 from .isomorphism import are_isomorphic
-from .lifts import Signature, build_constant_lift, build_lift, make_signature, parse_signature
+from .lifts import Signature, build_lift, make_signature, parse_signature
 from .search import SearchOptions, corollary_generate, iter_search, search
 from .spectra import charpoly, cospectral, lift_charpoly, verify_decomposition
 
@@ -32,7 +32,6 @@ __all__ = [
     "SearchOptions",
     "are_isomorphic",
     "berkowitz_charpoly",
-    "build_constant_lift",
     "build_lift",
     "characters",
     "charpoly",

@@ -74,7 +74,7 @@ class AbelianGroup:
         return (
             isinstance(e, tuple)
             and len(e) == len(self.orders)
-            and all(isinstance(a, int) and 0 <= a < k for a, k in zip(e, self.orders))
+            and all(type(a) is int and 0 <= a < k for a, k in zip(e, self.orders))
         )
 
     def elements(self) -> list[tuple[int, ...]]:
@@ -469,16 +469,13 @@ def characters(gr: AbelianGroup) -> list[Character]:
 # ---------------------------------------------------------------------------
 
 
-def berkowitz_charpoly(matrix, zero=0, one=1) -> list:
-    """Monic characteristic polynomial det(tI - M) of a square matrix.
+def berkowitz_charpoly(matrix) -> list:
+    """Monic characteristic polynomial det(tI - M) of a square integer
+    matrix.
 
-    Samuelson-Berkowitz recursion: entirely division-free, so it is valid
-    over any commutative ring. Z[x]/(Phi_K) is one: Phi_K is irreducible, so
-    the ring is Z[zeta_K], an integral domain, but fraction-free elimination
-    would need exact division in it, which is not implemented here.
-    Returns the coefficient list with index = power. Pass ring constants via
-    zero/one for non-integer entries; every sum starts from zero, and an
-    entry counts as non-zero when it is != zero.
+    Samuelson-Berkowitz recursion: entirely division-free, so every value it
+    forms is a sum of products of entries, and the result is exact in
+    integer arithmetic. Returns the coefficient list with index = power.
 
     Working from the trailing principal submatrices: if q is the charpoly
     coefficient vector (highest degree first) of the (m x m) trailing block B
@@ -504,20 +501,20 @@ def berkowitz_charpoly(matrix, zero=0, one=1) -> list:
     for i in range(n - 1, -1, -1):
         for j in range(n - 1, -1, -1):
             x = matrix[i][j]
-            if x != zero:
+            if x:
                 rows[i].append((j, x))
                 cols[j].append((i, x))
-    coeffs = [one]  # highest degree first
+    coeffs = [1]  # highest degree first
     for k in range(n - 1, -1, -1):
-        col = [one, zero - matrix[k][k]]
+        col = [1, -matrix[k][k]]
         v = {i: x for i, x in cols[k] if i > k}
         width = len(coeffs)
         while v:  # once B^s*C is zero, so is every later entry of the column
-            acc = zero
+            acc = 0
             for j, x in rows[k]:
                 if j in v:  # v holds only the trailing block's indices
-                    acc = acc + x * v[j]
-            col.append(zero - acc)
+                    acc += x * v[j]
+            col.append(-acc)
             if len(col) > width:
                 break
             w = {}
@@ -525,13 +522,13 @@ def berkowitz_charpoly(matrix, zero=0, one=1) -> list:
                 for i, x in cols[j]:
                     if i <= k:
                         break
-                    w[i] = w.get(i, zero) + x * y
+                    w[i] = w.get(i, 0) + x * y
             v = w
-        new = [zero] * (width + 1)
+        new = [0] * (width + 1)
         for d, c in enumerate(col):
-            if c != zero:
+            if c:
                 for j in range(min(width, width + 1 - d)):
-                    new[d + j] = new[d + j] + c * coeffs[j]
+                    new[d + j] += c * coeffs[j]
         coeffs = new
     coeffs.reverse()
     return coeffs

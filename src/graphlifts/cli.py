@@ -170,16 +170,13 @@ def _cmd_search(args) -> int:
     sig_dir = args.emit_signatures
     if sig_dir:
         os.makedirs(sig_dir, exist_ok=True)
-    poly_texts: dict[tuple[int, ...], str] = {}
     tails_of_class: dict[int, list[str]] = {}
     emitted_h: set[int] = set()
     out = sys.stdout
     for rank_g, cg, poly, rows in blocks:
         tails = tails_of_class.get(cg)
         if tails is None:
-            text = poly_texts.get(poly)
-            if text is None:
-                text = poly_texts[poly] = poly_text(list(poly))
+            text = poly_text(list(poly))
             tails = tails_of_class[cg] = [
                 f"{rank_h} {text} {'-' if cond is None else int(cond)} {int(non_iso)}\n"
                 for rank_h, cond, non_iso in rows
@@ -389,7 +386,7 @@ def main(argv=None) -> int:
     # The shared options' defaults. set_defaults would write them into the
     # option objects, which the parsers share through `parents`, and the
     # subcommand's parser would then overwrite a value given before it.
-    defaults = argparse.Namespace(format="g6", budget=10**6)
+    defaults = argparse.Namespace(format="g6", budget=SearchOptions.budget)
     args = build_parser().parse_args(argv, defaults)
     try:
         return args.func(args)

@@ -457,8 +457,8 @@ def are_isomorphic(g: Graph, h: Graph) -> tuple[bool, tuple[int, ...] | None]:
     each component against the least of g's component strings of its vertex
     count, until a leaf meets it or a smaller prefix proves that none can.
     The verdict and the bijection are those of comparing the two full
-    canonical forms. The bijection is validated by direct edge-set
-    comparison before being returned.
+    canonical forms. The bijection is validated before being returned: g
+    relabeled by it must equal h, edge for edge.
     """
     for graph in (g, h):
         if graph.n > SIZE_CEILING:
@@ -477,11 +477,7 @@ def are_isomorphic(g: Graph, h: Graph) -> tuple[bool, tuple[int, ...] | None]:
     for v in range(1, h.n + 1):
         inverse_h[ch.relabeling[v - 1] - 1] = v
     mapping = tuple(inverse_h[cg.relabeling[v - 1] - 1] for v in range(1, g.n + 1))
-    mapped = {
-        (min(mapping[i - 1], mapping[j - 1]), max(mapping[i - 1], mapping[j - 1]))
-        for i, j in g.edges
-    }
-    if mapped != set(h.edges):
+    if relabeled(g, mapping) != h:
         raise AssertionError("canonical forms matched but the certificate failed validation")
     return True, mapping
 

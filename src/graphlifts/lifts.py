@@ -13,7 +13,7 @@ defined once, in algebra.fiber_action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .algebra import (
     AbelianGroup,
@@ -64,11 +64,13 @@ class NonAbelianSignature(SignatureError):
 
 @dataclass(frozen=True)
 class Signature:
-    """A total map from the base graph's canonical edges to group elements."""
+    """A total map from the base graph's canonical edges to group elements.
+    The hash leaves the assignments out: equal signatures share their base
+    and group, so their hashes agree."""
 
     base: Graph
     group: GroupSpec
-    assignments: dict
+    assignments: dict = field(hash=False)
 
     def get(self, i: int, j: int):
         if i > j:
@@ -174,8 +176,3 @@ def build_lift(base: Graph, s: Signature) -> Graph:
         for a, b in enumerate(fiber_action(s.group, g)):
             pairs.append(((i - 1) * d + a + 1, (j - 1) * d + b + 1))
     return from_edge_list(base.n * d, pairs)
-
-
-def build_constant_lift(base: Graph, group: GroupSpec, g) -> Graph:
-    """Lift with the same voltage g on every edge."""
-    return build_lift(base, constant_signature(base, group, g))

@@ -79,22 +79,6 @@ def check_condition1(sg: Signature) -> bool:
     return net_voltage(sg, CONDITION1_CYCLE) == sg.group.identity()
 
 
-def _check_pair(sg: Signature, sh: Signature) -> bool:
-    """Check both signatures of a pair once; return whether condition 1 holds."""
-    holds = check_condition1(sg)
-    _require_abelian(sh)
-    _require_base(sh, fixtures.BASE_H, "H")
-    if sg.group != sh.group:
-        raise WrongBaseGraph("the two signatures use different groups")
-    return holds
-
-
-def _condition2(sg: Signature, sh: Signature) -> bool:
-    alpha = net_voltage(sg, ALPHA_CYCLE)
-    pair = (alpha, inverse(sg.group, alpha))
-    return net_voltage(sh, BETA_CYCLE) in pair and net_voltage(sh, GAMMA_CYCLE) in pair
-
-
 def check_condition2(sg: Signature, sh: Signature) -> bool:
     """Second cospectrality condition, assuming the first one holds:
     with alpha = x*v*w^-1 on the G side and beta = y1*r1*z1^-1,
@@ -103,14 +87,24 @@ def check_condition2(sg: Signature, sh: Signature) -> bool:
     must be equal, that is, beta and gamma each lie in {alpha, alpha^-1}.
     alpha is the net voltage around triangle 2-3-4 of G; beta and gamma are
     those around triangles 3-5-6 and 1-2-3 of H."""
-    if not _check_pair(sg, sh):
+    holds = check_condition1(sg)
+    _require_abelian(sh)
+    _require_base(sh, fixtures.BASE_H, "H")
+    if sg.group != sh.group:
+        raise WrongBaseGraph("the two signatures use different groups")
+    if not holds:
         raise Condition1Violated("the first condition does not hold for the G-side signature")
-    return _condition2(sg, sh)
+    alpha = net_voltage(sg, ALPHA_CYCLE)
+    pair = (alpha, inverse(sg.group, alpha))
+    return net_voltage(sh, BETA_CYCLE) in pair and net_voltage(sh, GAMMA_CYCLE) in pair
 
 
 def conditions_hold(sg: Signature, sh: Signature) -> bool:
     """Both conditions, without raising when the first fails."""
-    return _check_pair(sg, sh) and _condition2(sg, sh)
+    try:
+        return check_condition2(sg, sh)
+    except Condition1Violated:
+        return False
 
 
 def corollary_generate(

@@ -21,7 +21,7 @@ from graphlifts.algebra import (
 )
 from graphlifts.graphs import Graph, emit_graph6, from_adjacency_matrix, from_edge_list, parse_graph6
 from graphlifts.isomorphism import are_isomorphic, canonical_form
-from graphlifts.lifts import build_constant_lift, build_lift, make_signature
+from graphlifts.lifts import build_lift, constant_signature, make_signature
 from graphlifts.search import (
     check_condition1,
     conditions_hold,
@@ -127,7 +127,7 @@ def _double_cover_poly_identity(g: Graph) -> bool:
     p = charpoly(g)
     n = g.n
     reflected = [c * (-1 if (n - i) % 2 else 1) for i, c in enumerate(p)]
-    doubled = build_constant_lift(g, Z2, (1,))
+    doubled = build_lift(g, constant_signature(g, Z2, (1,)))
     return charpoly(doubled) == poly_mul(p, reflected)
 
 

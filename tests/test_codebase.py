@@ -113,8 +113,9 @@ def _unnamed_definitions(modules: dict[str, str], others: list[str]) -> list[str
 def _helpers_without_caller(root: pathlib.Path) -> list[str]:
     """Definitions of the package under `root` that no code calls: named
     nowhere in src/, scripts/ or perfbench/ outside their own definition.
-    Tests do not count as callers; __init__.py defines nothing, and its
-    re-exports do count."""
+    Neither tests nor __init__.py's re-exports count as callers, so a name
+    that only a re-export keeps alive is flagged; __init__.py defines
+    nothing."""
     package = root / "src" / "graphlifts"
     modules = {
         path.name: path.read_text(encoding="utf-8")
@@ -125,7 +126,7 @@ def _helpers_without_caller(root: pathlib.Path) -> list[str]:
         path.read_text(encoding="utf-8")
         for folder in ("src", "scripts", "perfbench")
         for path in sorted((root / folder).rglob("*.py"))
-        if path.parent != package or path.name == "__init__.py"
+        if path.parent != package
     ]
     return _unnamed_definitions(modules, others)
 
@@ -137,22 +138,28 @@ def test_unnamed_definition_check_flags_a_helper_without_caller():
 
 def test_helper_check_flags_a_helper_that_only_tests_call(tmp_path):
     files = {
-        "src/graphlifts/__init__.py": "from .m import exported\n",
+        "src/graphlifts/__init__.py": "from .m import exported, reexported_only\n",
         "src/graphlifts/m.py": (
             "def exported():\n    return Box().used()\n\n"
             "def test_only():\n    return 1\n\n"
+            "def reexported_only():\n    return 1\n\n"
             "class Box:\n    def __eq__(self, other):\n        return True\n\n"
             "    def used(self):\n        return 1\n\n"
             "    def test_only_method(self):\n        return 1\n"
         ),
         "scripts/run.py": "from graphlifts import exported\nexported()\n",
-        "tests/test_m.py": "from graphlifts.m import Box, test_only\ntest_only()\nBox().test_only_method()\n",
+        "tests/test_m.py": (
+            "from graphlifts import reexported_only\nfrom graphlifts.m import Box, test_only\n"
+            "test_only()\nreexported_only()\nBox().test_only_method()\n"
+        ),
     }
     for name, text in files.items():
         (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
         (tmp_path / name).write_text(text)
     (tmp_path / "perfbench").mkdir()
-    assert _helpers_without_caller(tmp_path) == ["m.py:Box.test_only_method", "m.py:test_only"]
+    assert _helpers_without_caller(tmp_path) == [
+        "m.py:Box.test_only_method", "m.py:reexported_only", "m.py:test_only",
+    ]
 
 
 # Definitions that no code calls, each kept for a reason; an entry that gains
@@ -162,9 +169,7 @@ UNCALLED = {
     "algebra.py:CycloElem.equals_integer": "cyclotomic reference for the character spectra of ROADMAP item 2",
     "algebra.py:Character.inverse_value": "cyclotomic reference for the character spectra of ROADMAP item 2",
     "algebra.py:perm_matrix": "the permutation matrices of the S3 example, ROADMAP item 6",
-    "isomorphism.py:relabeled": "applies a relabeling; the isomorphism tests and ROADMAP item 1 use it",
     "search.py:SwitchingClasses.class_of": "acts on class keys in the orbits of ROADMAP item 3",
-    "search.py:check_condition2": "the paper's condition 2 on its own; conditions_hold folds it in",
     "spectra.py:verify_constant_lift_lemma": "the paper's lemma, which the acceptance tests check",
 }
 

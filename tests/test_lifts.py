@@ -24,13 +24,13 @@ from graphlifts.lifts import (
     MissingEdge,
     SignatureError,
     UnknownEdge,
-    build_constant_lift,
     build_lift,
     constant_signature,
     emit_signature,
     make_signature,
     parse_signature,
 )
+from graphlifts.search import signature_from_rank
 from graphlifts.spectra import charpoly
 from graphlifts.algebra import poly_mul
 
@@ -53,14 +53,28 @@ def test_make_signature_validates_domain():
         make_signature(P3, Z2, {(1, 2): (0,), (2, 3): (0,), (1, 3): (0,)})
     with pytest.raises(ElementNotInGroup):
         make_signature(P3, Z2, {(1, 2): (0,), (2, 3): (2,)})
+    # bool is an int subclass, but emit_signature would write "True", which
+    # parse_signature cannot read back
+    with pytest.raises(ElementNotInGroup):
+        make_signature(P3, Z2, {(1, 2): (True,), (2, 3): (0,)})
+
+
+def test_equal_signatures_hash_alike():
+    by_hand = make_signature(
+        fixtures.BASE_G,
+        Z2,
+        {(1, 2): (1,), (2, 3): (0,), (2, 4): (1,), (3, 4): (0,), (3, 5): (1,), (4, 5): (0,), (5, 6): (1,)},
+    )
+    by_rank = signature_from_rank(fixtures.BASE_G, Z2, 85)
+    assert by_hand == by_rank
+    assert len({by_hand, by_rank}) == 1
 
 
 def test_each_signature_rule_has_one_message_through_every_entry_point():
     k2 = from_edge_list(2, [(1, 2)])
     for call in (
         lambda: make_signature(k2, Z2, {(1, 2): (2,)}),
-        lambda: constant_signature(k2, Z2, (2,)),
-        lambda: build_constant_lift(k2, Z2, (2,)),
+        lambda: build_lift(k2, constant_signature(k2, Z2, (2,))),
         lambda: compose(Z2, (2,), (0,)),
         lambda: inverse(Z2, (2,)),
         lambda: fiber_action(Z2, (2,)),
@@ -157,7 +171,7 @@ def _degrees(g):
 
 def test_identity_signature_gives_disjoint_copies():
     for gr in (Z2, Z3, AbelianGroup((2, 2))):
-        lift = build_constant_lift(P3, gr, gr.identity())
+        lift = build_lift(P3, constant_signature(P3, gr, gr.identity()))
         d = gr.fiber_size()
         assert charpoly(lift) == _poly_pow(charpoly(P3), d)
 

@@ -1,9 +1,16 @@
 import os
 import re
+import shlex
 import subprocess
 import sys
 
 import pytest
+
+from graphlifts import cli, fixtures
+from graphlifts.algebra import AbelianGroup
+from graphlifts.graphs import emit_edge_list
+from graphlifts.lifts import emit_signature
+from graphlifts.search import signature_from_rank
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -38,3 +45,30 @@ def test_readme_library_snippet_runs(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0].endswith(" cospectral pairs")
     assert len(out) == 2
+
+
+def test_readme_short_session_reproduces(tmp_path, monkeypatch, capsys):
+    """README's short session: each `cat` shows a file the library writes,
+    and each `graphlifts` command prints the lines shown under it."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        block = re.search(r"^```\n(\$ cat base_g\.edges\n.*?)^```$", fh.read(), flags=re.S | re.M)
+    assert block is not None
+    files = {
+        "base_g.edges": emit_edge_list(fixtures.BASE_G),
+        "sig.txt": emit_signature(signature_from_rank(fixtures.BASE_G, AbelianGroup((2,)), 85)),
+    }
+    monkeypatch.chdir(tmp_path)
+    commands = 0
+    for step in block.group(1).split("\n$ "):
+        command, _, shown = step.removeprefix("$ ").partition("\n")
+        program, *argv = shlex.split(command)
+        shown = shown.rstrip("\n") + "\n"
+        if program == "cat":
+            assert shown == files[argv[0]]
+            (tmp_path / argv[0]).write_text(shown, encoding="utf-8")
+            continue
+        assert program == "graphlifts"
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == shown
+        commands += 1
+    assert commands == 3

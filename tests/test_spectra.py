@@ -6,7 +6,7 @@ from graphlifts import fixtures
 from graphlifts.algebra import AbelianGroup, poly_mul, poly_text
 from graphlifts.graphs import from_edge_list
 from graphlifts.isomorphism import are_isomorphic, relabeled
-from graphlifts.lifts import NonAbelianSignature, build_constant_lift, make_signature
+from graphlifts.lifts import NonAbelianSignature, build_lift, constant_signature, make_signature
 from graphlifts.spectra import (
     PreconditionFailed,
     charpoly,
@@ -103,7 +103,7 @@ def test_constant_identity_lift_power_law():
     for orders in ((2,), (3,), (2, 2)):
         gr = AbelianGroup(orders)
         g = random_base(rng, max_n=6)
-        lift = build_constant_lift(g, gr, gr.identity())
+        lift = build_lift(g, constant_signature(g, gr, gr.identity()))
         expect = [1]
         for _ in range(gr.order()):
             expect = poly_mul(expect, charpoly(g))
@@ -114,7 +114,7 @@ def test_bipartite_double_factorization():
     rng = random.Random(8)
     for _ in range(20):
         g = random_base(rng, max_n=7)
-        doubled = build_constant_lift(g, Z2, (1,))
+        doubled = build_lift(g, constant_signature(g, Z2, (1,)))
         p = charpoly(g)
         n = g.n
         minus = [c * (-1) ** (n - i) for i, c in enumerate(p)]
