@@ -1,83 +1,74 @@
 #!/usr/bin/env python3
-"""Sweep signature pairs on the bundled base pair and tally how the
-cospectrality conditions line up with actual cospectrality.
+"""Check the paper's two results on the bundled base pair, over Z2 and then
+--group.
 
-Exhaustive over Z2 (128 x 128 pairs), randomized for larger groups.
-Exits nonzero if a condition-passing pair fails to be cospectral.
+The conditions and a lift's charpoly depend only on each signature's
+switching class, so every pair (G class, H class) is checked once, on class
+representatives; a class pair stands for the product of its class sizes in
+signature pairs. The constant-lift lemma is checked for every involution.
+Exits 1 if a condition-passing pair is not cospectral or the lemma fails.
 """
 
 import argparse
-import random
 import sys
 
-from graphlifts.algebra import parse_group
+from graphlifts.algebra import AbelianGroup, BadGroupSpec, compose, format_group, parse_group
 from graphlifts.fixtures import BASE_G, BASE_H
-from graphlifts.search import conditions_hold, signature_count, signature_from_rank
-from graphlifts.spectra import lift_charpoly
+from graphlifts.search import SwitchingClasses, conditions_hold, signature_count
+from graphlifts.spectra import lift_charpoly, verify_constant_lift_lemma
+
+Z2 = AbelianGroup((2,))
 
 
-def sweep_pairs(group_text: str, trials: int, seed: int):
-    gr = parse_group(group_text)
-    total_g = signature_count(BASE_G, gr)
-    total_h = signature_count(BASE_H, gr)
+def sweep_class_pairs(gr: AbelianGroup):
+    """Each side's (class count, class size), then the sets of (class_g,
+    class_h) pairs that are cospectral and that pass the conditions."""
+    sides = []
+    for base in (BASE_G, BASE_H):
+        classes = SwitchingClasses(base, gr)
+        reps = [classes.representative(c) for c in range(classes.count)]
+        polys = [tuple(lift_charpoly(base, s)) for s in reps]
+        sides.append((reps, polys, (classes.count, signature_count(base, gr) // classes.count)))
+    (reps_g, polys_g, shape_g), (reps_h, polys_h, shape_h) = sides
+    pairs = [(cg, ch) for cg in range(len(reps_g)) for ch in range(len(reps_h))]
+    cospectral = {(cg, ch) for cg, ch in pairs if polys_g[cg] == polys_h[ch]}
+    passing = {(cg, ch) for cg, ch in pairs if conditions_hold(reps_g[cg], reps_h[ch])}
+    return shape_g, shape_h, cospectral, passing
 
-    poly_g = {}
-    poly_h = {}
 
-    def charpoly_g(rank):
-        if rank not in poly_g:
-            sig = signature_from_rank(BASE_G, gr, rank)
-            poly_g[rank] = (sig, tuple(lift_charpoly(BASE_G, sig)))
-        return poly_g[rank]
-
-    def charpoly_h(rank):
-        if rank not in poly_h:
-            sig = signature_from_rank(BASE_H, gr, rank)
-            poly_h[rank] = (sig, tuple(lift_charpoly(BASE_H, sig)))
-        return poly_h[rank]
-
-    exhaustive = total_g * total_h <= trials
-    if exhaustive:
-        candidates = ((a, b) for a in range(total_g) for b in range(total_h))
-        n_pairs = total_g * total_h
-    else:
-        rng = random.Random(seed)
-        candidates = (
-            (rng.randrange(total_g), rng.randrange(total_h)) for _ in range(trials)
-        )
-        n_pairs = trials
-
-    passing = cospectral_count = violations = 0
-    for rank_g, rank_h in candidates:
-        sig_g, pg = charpoly_g(rank_g)
-        sig_h, ph = charpoly_h(rank_h)
-        cond = conditions_hold(sig_g, sig_h)
-        cosp = pg == ph
-        if cond:
-            passing += 1
-            if not cosp:
-                violations += 1
-                print(f"VIOLATION rank_g={rank_g} rank_h={rank_h}")
-        if cosp:
-            cospectral_count += 1
-    mode = "exhaustive" if exhaustive else f"random seed={seed}"
-    print(f"group {group_text}: {n_pairs} pairs ({mode})")
-    print(f"  condition-passing: {passing}")
-    print(f"  cospectral:        {cospectral_count}")
-    print(f"  violations:        {violations}")
-    return violations
+def sweep(gr: AbelianGroup) -> int:
+    """Print the sweep over gr; return the violating class pairs plus the
+    involutions for which the lemma fails."""
+    (count_g, size_g), (count_h, size_h), cospectral, passing = sweep_class_pairs(gr)
+    weight = size_g * size_h
+    violations = sorted(passing - cospectral)
+    for cg, ch in violations:
+        print(f"VIOLATION class_g={cg} class_h={ch}")
+    involutions = [e for e in gr.elements() if compose(gr, e, e) == gr.identity()]
+    holding = sum(verify_constant_lift_lemma(BASE_G, BASE_H, gr, e) for e in involutions)
+    print(f"group {format_group(gr)}: {count_g * count_h * weight} pairs (exhaustive)")
+    print(f"  condition-passing: {len(passing) * weight}")
+    print(f"  cospectral:        {len(cospectral) * weight}")
+    print(f"  violations:        {len(violations) * weight}")
+    print(
+        f"  class pairs:       {count_g} x {count_h}, {len(cospectral)} cospectral, "
+        f"{len(passing)} condition-passing"
+    )
+    print(f"  constant-lift lemma holds for {holding} of {len(involutions)} involutions")
+    return len(violations) + len(involutions) - holding
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--group", default="Z3", help="group for the randomized sweep")
-    parser.add_argument("--trials", type=int, default=20000)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--group", default="Z3", help="abelian group swept after Z2")
     args = parser.parse_args(argv)
-
-    bad = sweep_pairs("Z2", trials=128 * 128, seed=args.seed)
-    if args.group != "Z2":
-        bad += sweep_pairs(args.group, trials=args.trials, seed=args.seed)
+    try:
+        gr = parse_group(args.group)
+    except BadGroupSpec as exc:
+        parser.error(str(exc))
+    if not isinstance(gr, AbelianGroup):
+        parser.error(f"{args.group} is not abelian; the conditions need an abelian group")
+    bad = sweep(Z2) + (sweep(gr) if gr != Z2 else 0)
     return 1 if bad else 0
 
 

@@ -69,6 +69,8 @@ def main(argv=None) -> int:
     parser.add_argument("--max-n", type=int, default=7)
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
+    if args.max_n < 2:
+        parser.error(f"--max-n must be at least 2, got {args.max_n}")
     return 1 if run_trials(args.trials, args.seed, args.max_n, args.verbose) else 0
 
 

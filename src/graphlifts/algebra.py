@@ -116,6 +116,7 @@ class SymmetricGroup:
         return (
             isinstance(e, tuple)
             and len(e) == self.degree
+            and all(type(p) is int for p in e)
             and sorted(e) == list(range(1, self.degree + 1))
         )
 

@@ -170,7 +170,6 @@ UNCALLED = {
     "algebra.py:Character.inverse_value": "cyclotomic reference for the character spectra of ROADMAP item 2",
     "algebra.py:perm_matrix": "the permutation matrices of the S3 example, ROADMAP item 6",
     "search.py:SwitchingClasses.class_of": "acts on class keys in the orbits of ROADMAP item 3",
-    "spectra.py:verify_constant_lift_lemma": "the paper's lemma, which the acceptance tests check",
 }
 
 

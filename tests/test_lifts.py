@@ -59,6 +59,13 @@ def test_make_signature_validates_domain():
         make_signature(P3, Z2, {(1, 2): (True,), (2, 3): (0,)})
 
 
+def test_make_signature_rejects_non_integer_points():
+    # (2.0, True) sorts equal to (1, 2), but format_element indexes with it
+    k2 = from_edge_list(2, [(1, 2)])
+    with pytest.raises(ElementNotInGroup):
+        make_signature(k2, SymmetricGroup(2), {(1, 2): (2.0, True)})
+
+
 def test_equal_signatures_hash_alike():
     by_hand = make_signature(
         fixtures.BASE_G,

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import re
 import shlex
@@ -7,32 +8,137 @@ import sys
 import pytest
 
 from graphlifts import cli, fixtures
-from graphlifts.algebra import AbelianGroup
+from graphlifts.algebra import AbelianGroup, parse_group
 from graphlifts.graphs import emit_edge_list
 from graphlifts.lifts import emit_signature
-from graphlifts.search import signature_from_rank
+from graphlifts.search import conditions_hold, signature_count, signature_from_rank
+from graphlifts.spectra import lift_charpoly
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize(
-    "script,args",
-    [
-        ("condition_sweep.py", ["--group", "Z2"]),
-        ("decomposition_trials.py", ["--trials", "10", "--max-n", "5"]),
-    ],
-)
-def test_script_runs_clean(script, args):
+def _run_script(script, args):
     src = os.path.join(ROOT, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", script), *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize(
+    "script,args,code",
+    [
+        ("condition_sweep.py", ["--group", "Z2xZ2"], 0),
+        ("decomposition_trials.py", ["--trials", "10", "--max-n", "5"], 0),
+        ("condition_sweep.py", ["--group", "S3"], 2),
+        ("condition_sweep.py", ["--group", "Q8"], 2),
+        ("decomposition_trials.py", ["--max-n", "1"], 2),
+    ],
+)
+def test_script_runs_clean(script, args, code):
+    """Each script exits with the expected code; a bad argument is an
+    `error:` line on stderr, never a traceback."""
+    proc = _run_script(script, args)
+    assert proc.returncode == code, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert ("error: " in proc.stderr) == (code == 2)
+
+
+def _load_condition_sweep():
+    spec = importlib.util.spec_from_file_location(
+        "condition_sweep", os.path.join(ROOT, "scripts", "condition_sweep.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_condition_sweep_prints_z2_then_the_group(capsys):
+    """Z2's four count lines, then Z2xZ2's: only 4 of its 10 cospectral
+    class pairs pass the conditions, and all 4 involutions satisfy the
+    constant-lift lemma."""
+    assert _load_condition_sweep().main(["--group", "Z2xZ2"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "group Z2: 16384 pairs (exhaustive)",
+        "  condition-passing: 2048",
+        "  cospectral:        2048",
+        "  violations:        0",
+        "  class pairs:       4 x 4, 2 cospectral, 2 condition-passing",
+        "  constant-lift lemma holds for 2 of 2 involutions",
+        "group Z2xZ2: 268435456 pairs (exhaustive)",
+        "  condition-passing: 4194304",
+        "  cospectral:        10485760",
+        "  violations:        0",
+        "  class pairs:       16 x 16, 10 cospectral, 4 condition-passing",
+        "  constant-lift lemma holds for 4 of 4 involutions",
+    ]
+
+
+def test_class_sweep_matches_per_signature_brute_force_over_z2():
+    """The class-pair counts, weighted by class sizes, equal a sweep over
+    all 128 x 128 signature pairs."""
+    gr = AbelianGroup((2,))
+    g, h = fixtures.BASE_G, fixtures.BASE_H
+    sigs_g = [signature_from_rank(g, gr, r) for r in range(signature_count(g, gr))]
+    sigs_h = [signature_from_rank(h, gr, r) for r in range(signature_count(h, gr))]
+    polys_g = [tuple(lift_charpoly(g, s)) for s in sigs_g]
+    polys_h = [tuple(lift_charpoly(h, s)) for s in sigs_h]
+    passing = cospectral_count = violations = 0
+    for sg, pg in zip(sigs_g, polys_g):
+        for sh, ph in zip(sigs_h, polys_h):
+            cond = conditions_hold(sg, sh)
+            cosp = pg == ph
+            passing += cond
+            cospectral_count += cosp
+            violations += cond and not cosp
+    assert (passing, cospectral_count, violations) == (2048, 2048, 0)
+
+    (count_g, size_g), (count_h, size_h), cospectral, passing_pairs = (
+        _load_condition_sweep().sweep_class_pairs(gr)
+    )
+    assert count_g * size_g == len(sigs_g) and count_h * size_h == len(sigs_h)
+    weight = size_g * size_h
+    assert len(passing_pairs) * weight == passing
+    assert len(cospectral) * weight == cospectral_count
+    assert len(passing_pairs - cospectral) * weight == violations
+
+
+@pytest.mark.parametrize(
+    "group,classes,cospectral,passing",
+    [
+        ("Z2", 4, 2, 2),
+        ("Z3", 9, 9, 9),
+        ("Z4", 16, 10, 10),
+        ("Z2xZ2", 16, 10, 4),
+        ("Z5", 25, 33, 17),
+        ("Z2xZ4", 64, 66, 20),
+    ],
+)
+def test_class_pair_counts(group, classes, cospectral, passing):
+    """Class counts, cospectral and condition-passing class pairs of the
+    bundled pair, as in ROADMAP item 1's table; every passing pair is
+    cospectral."""
+    shape_g, shape_h, cospectral_pairs, passing_pairs = (
+        _load_condition_sweep().sweep_class_pairs(parse_group(group))
+    )
+    assert shape_g[0] == shape_h[0] == classes
+    assert (len(cospectral_pairs), len(passing_pairs)) == (cospectral, passing)
+    assert passing_pairs <= cospectral_pairs
+
+
+def test_readme_script_lines_run():
+    """README's script command lines run as written and exit 0, so the docs
+    cannot drift from the scripts' options."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        lines = re.findall(r"^python3 scripts/(\S+) (.*)$", fh.read(), flags=re.M)
+    assert sorted(script for script, _ in lines) == ["condition_sweep.py", "decomposition_trials.py"]
+    for script, args in lines:
+        proc = _run_script(script, shlex.split(args))
+        assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_readme_library_snippet_runs(capsys):
