@@ -6,7 +6,8 @@ The conditions and a lift's charpoly depend only on each signature's
 switching class, so every pair (G class, H class) is checked once, on class
 representatives; a class pair stands for the product of its class sizes in
 signature pairs. The constant-lift lemma is checked for every involution.
-Exits 1 if a condition-passing pair is not cospectral or the lemma fails.
+Exits 1 if a condition-passing pair is not cospectral or the lemma fails,
+and 2 on a group with more than MAX_CLASSES classes a side.
 """
 
 import argparse
@@ -14,10 +15,12 @@ import sys
 
 from graphlifts.algebra import AbelianGroup, BadGroupSpec, compose, format_group, parse_group
 from graphlifts.fixtures import BASE_G, BASE_H
-from graphlifts.search import SwitchingClasses, conditions_hold, signature_count
+from graphlifts.search import SwitchingClasses, check_condition1, conditions_hold, signature_count
 from graphlifts.spectra import lift_charpoly, verify_constant_lift_lemma
 
 Z2 = AbelianGroup((2,))
+# The most switching classes a side that a sweep takes on: Z20's 400.
+MAX_CLASSES = 400
 
 
 def sweep_class_pairs(gr: AbelianGroup):
@@ -30,9 +33,17 @@ def sweep_class_pairs(gr: AbelianGroup):
         polys = [tuple(lift_charpoly(base, s)) for s in reps]
         sides.append((reps, polys, (classes.count, signature_count(base, gr) // classes.count)))
     (reps_g, polys_g, shape_g), (reps_h, polys_h, shape_h) = sides
-    pairs = [(cg, ch) for cg in range(len(reps_g)) for ch in range(len(reps_h))]
-    cospectral = {(cg, ch) for cg, ch in pairs if polys_g[cg] == polys_h[ch]}
-    passing = {(cg, ch) for cg, ch in pairs if conditions_hold(reps_g[cg], reps_h[ch])}
+    cospectral = {
+        (cg, ch) for cg, pg in enumerate(polys_g) for ch, ph in enumerate(polys_h) if pg == ph
+    }
+    # a G class that fails condition 1 passes with no H class
+    passing = {
+        (cg, ch)
+        for cg, sg in enumerate(reps_g)
+        if check_condition1(sg)
+        for ch, sh in enumerate(reps_h)
+        if conditions_hold(sg, sh)
+    }
     return shape_g, shape_h, cospectral, passing
 
 
@@ -68,6 +79,11 @@ def main(argv=None) -> int:
         parser.error(str(exc))
     if not isinstance(gr, AbelianGroup):
         parser.error(f"{args.group} is not abelian; the conditions need an abelian group")
+    # |Gr| to the cycle rank m - n + 1 of each connected base, known before
+    # SwitchingClasses builds its |Gr| x |Gr| table
+    classes = max(gr.order() ** (len(b.edges) - b.n + 1) for b in (BASE_G, BASE_H))
+    if classes > MAX_CLASSES:
+        parser.error(f"{args.group} has {classes} switching classes a side, more than {MAX_CLASSES}")
     bad = sweep(Z2) + (sweep(gr) if gr != Z2 else 0)
     return 1 if bad else 0
 

@@ -71,6 +71,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.max_n < 2:
         parser.error(f"--max-n must be at least 2, got {args.max_n}")
+    if args.trials < 0:
+        parser.error(f"--trials must be at least 0, got {args.trials}")
     return 1 if run_trials(args.trials, args.seed, args.max_n, args.verbose) else 0
 
 

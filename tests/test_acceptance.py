@@ -15,6 +15,7 @@ from graphlifts.algebra import (
     AbelianGroup,
     characters,
     compose,
+    format_group,
     inverse,
     perm_matrix,
     poly_mul,
@@ -22,14 +23,10 @@ from graphlifts.algebra import (
 from graphlifts.graphs import Graph, emit_graph6, from_adjacency_matrix, from_edge_list, parse_graph6
 from graphlifts.isomorphism import are_isomorphic, canonical_form
 from graphlifts.lifts import build_lift, constant_signature, make_signature
-from graphlifts.search import (
-    check_condition1,
-    conditions_hold,
-    corollary_generate,
-    signature_count,
-    signature_from_rank,
-)
+from graphlifts.search import conditions_hold, corollary_generate
 from graphlifts.spectra import charpoly, cospectral, verify_constant_lift_lemma, verify_decomposition
+
+from oracles import brute_force_isomorphic, cofactor_charpoly, load_condition_sweep, mat_mul
 
 Z2 = AbelianGroup((2,))
 Z3 = AbelianGroup((3,))
@@ -140,59 +137,27 @@ def test_criterion_06_constant_involution_lift_identity():
     _report(6, ok, time.perf_counter() - t0, 1.0, "constant involution lifts: cospectral pairs and exact factorization")
 
 
-def _lift_poly_table(base: Graph, gr: AbelianGroup) -> list[tuple]:
-    table = []
-    for rank in range(signature_count(base, gr)):
-        sig = signature_from_rank(base, gr, rank)
-        table.append(tuple(charpoly(build_lift(base, sig))))
-    return table
-
-
 def test_criterion_07_condition_soundness_sweeps():
-    g, h = fixtures.BASE_G, fixtures.BASE_H
+    condition_sweep = load_condition_sweep()
     t0 = time.perf_counter()
-
-    polys_g = _lift_poly_table(g, Z2)
-    polys_h = _lift_poly_table(h, Z2)
-    sigs_g = [signature_from_rank(g, Z2, r) for r in range(len(polys_g))]
-    sigs_h = [signature_from_rank(h, Z2, r) for r in range(len(polys_h))]
-    passing = counterexamples = 0
-    for a, sg in enumerate(sigs_g):
-        if not check_condition1(sg):
-            continue
-        for b, sh in enumerate(sigs_h):
-            if conditions_hold(sg, sh):
-                passing += 1
-                if polys_g[a] != polys_h[b]:
-                    counterexamples += 1
-
-    rng = random.Random(3535)
-    total3 = signature_count(g, Z3)
-    cache_g: dict = {}
-    cache_h: dict = {}
-
-    def poly3(cache, base, rank):
-        if rank not in cache:
-            cache[rank] = tuple(charpoly(build_lift(base, signature_from_rank(base, Z3, rank))))
-        return cache[rank]
-
-    passing3 = 0
-    for _ in range(10**4):
-        a, b = rng.randrange(total3), rng.randrange(total3)
-        sg = signature_from_rank(g, Z3, a)
-        sh = signature_from_rank(h, Z3, b)
-        if conditions_hold(sg, sh):
-            passing3 += 1
-            if poly3(cache_g, g, a) != poly3(cache_h, h, b):
-                counterexamples += 1
-
-    ok = counterexamples == 0 and passing == 2048 and passing3 > 0
+    counts = []
+    for gr in (Z2, Z3, AbelianGroup((4,))):
+        (count_g, size_g), (count_h, size_h), cospectral_pairs, passing = (
+            condition_sweep.sweep_class_pairs(gr)
+        )
+        weight = size_g * size_h
+        counts.append(
+            (format_group(gr), count_g * count_h * weight, len(passing) * weight,
+             len(passing - cospectral_pairs) * weight)
+        )
+    ok = counts == [("Z2", 16384, 2048, 0), ("Z3", 4782969, 531441, 0), ("Z4", 268435456, 10485760, 0)]
     _report(
         7,
         ok,
         time.perf_counter() - t0,
         60.0,
-        f"conditions imply cospectral lifts: {passing} exhaustive + {passing3} sampled pairs, 0 counterexamples",
+        "conditions imply cospectral lifts over every class pair (pairs / condition-passing / violations): "
+        + "; ".join(f"{name} {pairs:,} / {passing:,} / {bad}" for name, pairs, passing, bad in counts),
     )
 
 
@@ -217,40 +182,6 @@ def test_criterion_08_substitution_generator_exhaustive():
     )
 
 
-def _poly_det(m: list[list[list[int]]]) -> list[int]:
-    if len(m) == 1:
-        return m[0][0]
-    total = [0]
-    for col in range(len(m)):
-        minor = [row[:col] + row[col + 1 :] for row in m[1:]]
-        term = poly_mul(m[0][col], _poly_det(minor))
-        sign = 1 if col % 2 == 0 else -1
-        total = [a + sign * b for a, b in itertools.zip_longest(total, term, fillvalue=0)]
-    return total
-
-
-def _cofactor_charpoly(g: Graph) -> list[int]:
-    adj = {(i, j) for i, j in g.edges} | {(j, i) for i, j in g.edges}
-    # entry (i, j) of tI - A as an ascending coefficient list
-    m = [
-        [[-1 if (i + 1, j + 1) in adj else 0, 1 if i == j else 0] for j in range(g.n)]
-        for i in range(g.n)
-    ]
-    det = _poly_det(m)
-    return det + [0] * (g.n + 1 - len(det))
-
-
-def _brute_force_iso(a: Graph, b: Graph):
-    if a.n != b.n or len(a.edges) != len(b.edges):
-        return False
-    target = set(b.edges)
-    for perm in itertools.permutations(range(1, b.n + 1)):
-        mapped = {tuple(sorted((perm[i - 1], perm[j - 1]))) for i, j in a.edges}
-        if mapped == target:
-            return True
-    return False
-
-
 def test_criterion_09_oracle_suites():
     rng = random.Random(909)
     t0 = time.perf_counter()
@@ -259,7 +190,9 @@ def test_criterion_09_oracle_suites():
     # division-free charpoly vs cofactor expansion
     for _ in range(200):
         g = _random_graph(rng, rng.randint(1, 5))
-        ok = ok and charpoly(g) == _cofactor_charpoly(g)
+        adj = set(g.edges) | {(j, i) for i, j in g.edges}
+        m = [[int((i, j) in adj) for j in range(1, g.n + 1)] for i in range(1, g.n + 1)]
+        ok = ok and charpoly(g) == cofactor_charpoly(m)
 
     # refinement-based isomorphism vs all permutations
     for trial in range(200):
@@ -274,7 +207,7 @@ def test_criterion_09_oracle_suites():
         else:
             b = _random_graph(rng, n)
         verdict, mapping = are_isomorphic(a, b)
-        ok = ok and verdict == _brute_force_iso(a, b)
+        ok = ok and verdict == brute_force_isomorphic(a, b)
         if verdict:
             image = {tuple(sorted((mapping[i - 1], mapping[j - 1]))) for i, j in a.edges}
             ok = ok and image == set(b.edges)
@@ -308,11 +241,7 @@ def test_criterion_09_oracle_suites():
         ident = gr.identity()
         for a in elems:
             for b in elems:
-                pa, pb = perm_matrix(gr, a), perm_matrix(gr, b)
-                prod = [
-                    [sum(pa[i][k] * pb[k][j] for k in range(len(elems))) for j in range(len(elems))]
-                    for i in range(len(elems))
-                ]
+                prod = mat_mul(perm_matrix(gr, a), perm_matrix(gr, b))
                 ok = ok and prod == perm_matrix(gr, compose(gr, a, b))
         for chi in chars:
             for a in elems:
@@ -330,11 +259,12 @@ def test_criterion_10_search_determinism():
     t0 = time.perf_counter()
     one = subprocess.run(cmd + ["--jobs", "1"], capture_output=True, timeout=120)
     eight = subprocess.run(cmd + ["--jobs", "8"], capture_output=True, timeout=120)
-    ok = one.returncode == 0 and eight.returncode == 0 and one.stdout == eight.stdout
+    rows = len(one.stdout.splitlines())
+    ok = one.returncode == eight.returncode == 0 and one.stdout == eight.stdout and rows == 2048
     _report(
         10,
         ok,
         time.perf_counter() - t0,
         30.0,
-        f"search output byte-identical across worker counts ({len(one.stdout.splitlines())} rows)",
+        f"search output byte-identical across worker counts ({rows} rows)",
     )

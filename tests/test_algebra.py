@@ -28,6 +28,8 @@ from graphlifts.algebra import (
     root_power,
 )
 
+from oracles import cofactor_charpoly, mat_mul
+
 SMALL_ABELIAN = [
     AbelianGroup((2,)),
     AbelianGroup((3,)),
@@ -125,11 +127,6 @@ def test_compose_rejects_foreign_elements():
 
 
 # --- regular representation ----------------------------------------------
-
-
-def mat_mul(a, b):
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
 
 
 @pytest.mark.parametrize(
@@ -273,47 +270,6 @@ def test_trivial_character_is_first():
 # --- characteristic polynomial --------------------------------------------
 
 
-def naive_charpoly(m):
-    """Cofactor-expansion det(tI - M) with local polynomial arithmetic,
-    ascending coefficient lists."""
-
-    def padd(a, b):
-        out = [0] * max(len(a), len(b))
-        for i, v in enumerate(a):
-            out[i] += v
-        for i, v in enumerate(b):
-            out[i] += v
-        return out
-
-    def pscale(a, c):
-        return [c * v for v in a]
-
-    def pmul(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return out
-
-    def det(rows):
-        k = len(rows)
-        if k == 1:
-            return rows[0][0]
-        total = [0]
-        for col in range(k):
-            minor = [r[:col] + r[col + 1 :] for r in rows[1:]]
-            term = pmul(rows[0][col], det(minor))
-            total = padd(total, pscale(term, (-1) ** col))
-        return total
-
-    n = len(m)
-    entries = [
-        [[-m[i][j], 1] if i == j else [-m[i][j]] for j in range(n)] for i in range(n)
-    ]
-    poly = det(entries)
-    return poly + [0] * (n + 1 - len(poly))
-
-
 def test_berkowitz_base_cases():
     assert berkowitz_charpoly([]) == [1]
     assert berkowitz_charpoly([[5]]) == [-5, 1]
@@ -325,7 +281,7 @@ def test_berkowitz_matches_cofactor_expansion():
     for _ in range(250):
         n = rng.randint(1, 5)
         m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        assert berkowitz_charpoly(m) == naive_charpoly(m)
+        assert berkowitz_charpoly(m) == cofactor_charpoly(m)
 
 
 def test_berkowitz_over_fractions():

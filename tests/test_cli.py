@@ -409,15 +409,6 @@ def test_search_exits_0_when_the_reader_closes_the_pipe():
     assert (proc.returncode, err) == (0, b"")
 
 
-def test_cli_determinism_across_jobs():
-    cmd = [sys.executable, "-m", "graphlifts.cli", "search", "--fixture-pair", "--group", "Z2"]
-    run1 = subprocess.run(cmd + ["--jobs", "1"], capture_output=True, timeout=300)
-    run8 = subprocess.run(cmd + ["--jobs", "8"], capture_output=True, timeout=300)
-    assert run1.returncode == run8.returncode == 0
-    assert run1.stdout == run8.stdout
-    assert len(run1.stdout.splitlines()) == 2048
-
-
 def _dressed(data: list[str]) -> str:
     """The data lines as a file with a comment-only first line, a trailing
     comment on each data line, a blank line after each, and CRLF line ends:

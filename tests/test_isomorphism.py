@@ -2,7 +2,7 @@ import hashlib
 import random
 import time
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -20,25 +20,14 @@ from graphlifts.isomorphism import (
 from graphlifts.lifts import build_lift, make_signature
 from graphlifts.search import SwitchingClasses
 
+from oracles import brute_force_isomorphic
+
 
 def random_graph(rng, n_lo=1, n_hi=7, p=None):
     n = rng.randint(n_lo, n_hi)
     density = rng.random() if p is None else p
     pool = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     return from_edge_list(n, [e for e in pool if rng.random() < density])
-
-
-def brute_force_isomorphic(g, h):
-    if g.n != h.n or len(g.edges) != len(h.edges):
-        return False
-    h_edges = set(h.edges)
-    for perm in permutations(range(1, g.n + 1)):
-        if all(
-            (min(perm[i - 1], perm[j - 1]), max(perm[i - 1], perm[j - 1])) in h_edges
-            for i, j in g.edges
-        ):
-            return True
-    return False
 
 
 def test_oracle_agreement_random_pairs():

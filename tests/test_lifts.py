@@ -34,6 +34,8 @@ from graphlifts.search import signature_from_rank
 from graphlifts.spectra import charpoly
 from graphlifts.algebra import poly_mul
 
+from oracles import mat_mul
+
 P3 = from_edge_list(3, [(1, 2), (2, 3)])
 Z2 = AbelianGroup((2,))
 Z3 = AbelianGroup((3,))
@@ -227,13 +229,9 @@ def test_symmetric_voltage_lift_uses_natural_action():
                 gh = fiber_action(gr, compose(gr, g, h))
                 assert gh == [fiber_action(gr, h)[b] for b in fiber_action(gr, g)]
                 m = perm_matrix(gr, compose(gr, g, h))
-                assert m == _mat_mul(perm_matrix(gr, g), perm_matrix(gr, h))
+                assert m == mat_mul(perm_matrix(gr, g), perm_matrix(gr, h))
         with pytest.raises(ElementNotInGroup):
             fiber_action(gr, tuple(range(k)))
-
-
-def _mat_mul(a, b):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def test_fixture_lift_matches_transcription_exactly():

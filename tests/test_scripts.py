@@ -1,4 +1,3 @@
-import importlib.util
 import os
 import re
 import shlex
@@ -14,7 +13,7 @@ from graphlifts.lifts import emit_signature
 from graphlifts.search import conditions_hold, signature_count, signature_from_rank
 from graphlifts.spectra import lift_charpoly
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from oracles import ROOT, load_condition_sweep
 
 
 def _run_script(script, args):
@@ -37,6 +36,9 @@ def _run_script(script, args):
         ("condition_sweep.py", ["--group", "S3"], 2),
         ("condition_sweep.py", ["--group", "Q8"], 2),
         ("decomposition_trials.py", ["--max-n", "1"], 2),
+        ("decomposition_trials.py", ["--trials", "-3"], 2),
+        ("condition_sweep.py", ["--group", "Z21"], 2),
+        ("condition_sweep.py", ["--group", "Z1000000"], 2),
     ],
 )
 def test_script_runs_clean(script, args, code):
@@ -48,20 +50,11 @@ def test_script_runs_clean(script, args, code):
     assert ("error: " in proc.stderr) == (code == 2)
 
 
-def _load_condition_sweep():
-    spec = importlib.util.spec_from_file_location(
-        "condition_sweep", os.path.join(ROOT, "scripts", "condition_sweep.py")
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_condition_sweep_prints_z2_then_the_group(capsys):
     """Z2's four count lines, then Z2xZ2's: only 4 of its 10 cospectral
     class pairs pass the conditions, and all 4 involutions satisfy the
     constant-lift lemma."""
-    assert _load_condition_sweep().main(["--group", "Z2xZ2"]) == 0
+    assert load_condition_sweep().main(["--group", "Z2xZ2"]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "group Z2: 16384 pairs (exhaustive)",
         "  condition-passing: 2048",
@@ -98,7 +91,7 @@ def test_class_sweep_matches_per_signature_brute_force_over_z2():
     assert (passing, cospectral_count, violations) == (2048, 2048, 0)
 
     (count_g, size_g), (count_h, size_h), cospectral, passing_pairs = (
-        _load_condition_sweep().sweep_class_pairs(gr)
+        load_condition_sweep().sweep_class_pairs(gr)
     )
     assert count_g * size_g == len(sigs_g) and count_h * size_h == len(sigs_h)
     weight = size_g * size_h
@@ -123,7 +116,7 @@ def test_class_pair_counts(group, classes, cospectral, passing):
     bundled pair, as in ROADMAP item 1's table; every passing pair is
     cospectral."""
     shape_g, shape_h, cospectral_pairs, passing_pairs = (
-        _load_condition_sweep().sweep_class_pairs(parse_group(group))
+        load_condition_sweep().sweep_class_pairs(parse_group(group))
     )
     assert shape_g[0] == shape_h[0] == classes
     assert (len(cospectral_pairs), len(passing_pairs)) == (cospectral, passing)
