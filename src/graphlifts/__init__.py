@@ -8,10 +8,8 @@ cospectral non-isomorphic lift pairs.
 
 from .algebra import (
     AbelianGroup,
-    Character,
     SymmetricGroup,
     berkowitz_charpoly,
-    characters,
     compose,
     inverse,
     parse_element,
@@ -26,14 +24,12 @@ from .spectra import charpoly, cospectral, lift_charpoly, verify_decomposition
 __all__ = [
     "AbelianGroup",
     "SymmetricGroup",
-    "Character",
     "Graph",
     "Signature",
     "SearchOptions",
     "are_isomorphic",
     "berkowitz_charpoly",
     "build_lift",
-    "characters",
     "charpoly",
     "compose",
     "corollary_generate",

@@ -1,9 +1,8 @@
-"""Finite groups, abelian characters, and exact polynomial arithmetic.
+"""Finite groups and exact polynomial arithmetic.
 
 Two group kinds are supported: direct products of cyclic groups (elements are
 residue tuples) and symmetric groups (elements are one-line permutation
-tuples with 1-based images). Character values live in the cyclotomic quotient
-ring Z[x]/(Phi_K) so that every comparison is exact integer arithmetic.
+tuples with 1-based images).
 
 Composition order: a*b means "apply a, then b". Both conventions appear in
 the literature; this one matches the lift rule s(i,j)*g_a = g_b read left to
@@ -23,15 +22,11 @@ from itertools import product
 
 
 class AlgebraError(ValueError):
-    """Base class for group and ring arithmetic errors."""
+    """Base class for group and polynomial arithmetic errors."""
 
 
 class ElementNotInGroup(AlgebraError):
     """An element does not belong to the group it was used with."""
-
-
-class ModulusMismatch(AlgebraError):
-    """Cyclotomic operands have different moduli."""
 
 
 class NonSquare(AlgebraError):
@@ -293,8 +288,11 @@ def poly_mul(a: list, b: list) -> list:
     return poly_trim(out)
 
 
-def _long_division(a, b) -> tuple[list, list]:
-    """Quotient and remainder of a by a trimmed b; AlgebraError if not integral."""
+def poly_divexact(a: list, b: list) -> list:
+    """Exact quotient a / b over the integers; raises if it does not divide."""
+    b = poly_trim(list(b))
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
     a = list(a)
     out = [0] * max(len(a) - len(b) + 1, 0)
     lead = b[-1]
@@ -306,16 +304,7 @@ def _long_division(a, b) -> tuple[list, list]:
         if q:
             for j, cb in enumerate(b):
                 a[k + j] -= q * cb
-    return out, a[: len(b) - 1]
-
-
-def poly_divexact(a: list, b: list) -> list:
-    """Exact quotient a / b over the integers; raises if it does not divide."""
-    b = poly_trim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    out, rem = _long_division(a, b)
-    if any(rem):
+    if any(a[: len(b) - 1]):
         raise AlgebraError("polynomial division leaves a remainder")
     return poly_trim(out)
 
@@ -345,124 +334,6 @@ def cyclotomic_poly(k: int) -> tuple[int, ...]:
         if k % d == 0:
             divisor = poly_mul(divisor, list(cyclotomic_poly(d)))
     return tuple(poly_divexact(xk1, divisor))
-
-
-# ---------------------------------------------------------------------------
-# Cyclotomic quotient ring Z[x]/(Phi_K)
-# ---------------------------------------------------------------------------
-
-
-def _cyclo_reduce(modulus: int, coeffs: list[int]) -> tuple[int, ...]:
-    """The remainder of coeffs by Phi_K, padded to length phi(K)."""
-    phi = cyclotomic_poly(modulus)
-    rem = _long_division(coeffs, phi)[1]
-    return tuple(rem + [0] * (len(phi) - 1 - len(rem)))
-
-
-@dataclass(frozen=True)
-class CycloElem:
-    """Element of Z[x]/(Phi_K): an integer vector of length phi(K).
-
-    The class of x is a primitive K-th root of unity; equality of reduced
-    coefficient vectors is equality in the ring, so no floating point is ever
-    needed to compare character values.
-    """
-
-    modulus: int
-    coeffs: tuple[int, ...]
-
-    def _check(self, other: "CycloElem") -> None:
-        if self.modulus != other.modulus:
-            raise ModulusMismatch(f"moduli differ: {self.modulus} vs {other.modulus}")
-
-    def __add__(self, other):
-        other = _coerce(self.modulus, other)
-        self._check(other)
-        return CycloElem(self.modulus, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CycloElem(self.modulus, tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other):
-        return self + -_coerce(self.modulus, other)
-
-    def __rsub__(self, other):
-        return _coerce(self.modulus, other) - self
-
-    def __mul__(self, other):
-        other = _coerce(self.modulus, other)
-        self._check(other)
-        product = poly_mul(self.coeffs, other.coeffs)
-        return CycloElem(self.modulus, _cyclo_reduce(self.modulus, product))
-
-    __rmul__ = __mul__
-
-    def equals_integer(self, m: int) -> bool:
-        return self.coeffs[0] == m and not any(self.coeffs[1:])
-
-    def as_integer(self) -> int | None:
-        """The integer this element reduces to, or None if it is not one."""
-        return self.coeffs[0] if not any(self.coeffs[1:]) else None
-
-
-def _coerce(modulus: int, v) -> CycloElem:
-    if isinstance(v, CycloElem):
-        return v
-    if isinstance(v, int):
-        return cyclo_int(modulus, v)
-    raise TypeError(f"cannot use {v!r} in cyclotomic arithmetic")
-
-
-def cyclo_int(modulus: int, m: int) -> CycloElem:
-    return CycloElem(modulus, _cyclo_reduce(modulus, [m]))
-
-
-def root_power(modulus: int, t: int) -> CycloElem:
-    """omega^t where omega is the class of x, a primitive K-th root of unity."""
-    t %= modulus
-    return CycloElem(modulus, _cyclo_reduce(modulus, [0] * t + [1]))
-
-
-# ---------------------------------------------------------------------------
-# Abelian characters
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Character:
-    """Character of an abelian group, indexed by a residue vector.
-
-    For Gr = Z_{k1} x ... x Z_{kr} and K = lcm(k_i), the character with
-    index (j_1,...,j_r) maps (a_1,...,a_r) to omega_K raised to
-    sum_i j_i * a_i * (K / k_i).
-    """
-
-    group: AbelianGroup
-    index: tuple[int, ...]
-
-    def root_exponent(self, e) -> int:
-        require_member(self.group, e)
-        k_lcm = self.group.exponent()
-        total = 0
-        for j, a, k in zip(self.index, e, self.group.orders):
-            total += j * a * (k_lcm // k)
-        return total % k_lcm
-
-    def value(self, e) -> CycloElem:
-        return root_power(self.group.exponent(), self.root_exponent(e))
-
-    def inverse_value(self, e) -> CycloElem:
-        """The ring inverse of value(e)."""
-        return root_power(self.group.exponent(), -self.root_exponent(e))
-
-
-def characters(gr: AbelianGroup) -> list[Character]:
-    """All |Gr| characters in lexicographic index order (trivial first)."""
-    if not isinstance(gr, AbelianGroup):
-        raise AlgebraError("characters are defined for abelian groups only")
-    return [Character(gr, idx) for idx in gr.elements()]
 
 
 # ---------------------------------------------------------------------------

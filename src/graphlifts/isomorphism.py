@@ -387,7 +387,16 @@ def _canonical_connected(
         and `fixing` holds the recorded automorphisms that fix every vertex
         of `path` but the last. Returns None, or, after a leaf equal to the
         best one, the depth where the two leaves' paths part, to resume
-        there; -1 ends the search."""
+        there; -1 ends the search.
+
+        Each automorphism recorded below this node fixes every vertex of
+        `path`, so the loop takes each one into `fixing` unchecked. It was
+        recorded at a leaf equal to the best, and every node deeper than
+        the depth where the two leaves' paths part returned at once; so a
+        node whose loop goes on lies on both paths. Individualizing the same
+        vertices in the same order gives each of them one label in both
+        leaves, and the automorphism, which maps the best leaf's vertex
+        order onto the other's, fixes them."""
         if target is not None and prefix < target[: len(prefix)]:
             return -1
         if best["bits"] is not None and prefix > best["bits"][: len(prefix)]:
@@ -428,10 +437,8 @@ def _canonical_connected(
         seen_automorphisms = len(automorphisms)
         for columns, child_placed, v, child in children:
             for aut in automorphisms[seen_automorphisms:]:
-                gamma, links = aut
-                if all(gamma[p] == p for p in path):
-                    fixing.append(aut)
-                    _join(rep, links)
+                fixing.append(aut)
+                _join(rep, aut[1])
             seen_automorphisms = len(automorphisms)
             orbit = _find(rep, v)
             if any(_find(rep, u) == orbit for u in explored):

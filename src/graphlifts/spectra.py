@@ -25,7 +25,6 @@ from operator import mul
 from .algebra import (
     AbelianGroup,
     berkowitz_charpoly,
-    characters,
     compose,
     cyclotomic_poly,
     inverse,
@@ -122,11 +121,15 @@ def verify_decomposition(base: Graph, s: Signature) -> VerifyReport:
     lift_charpoly on the lift as built, from closed walks; the character
     side is Berkowitz mod M, as follows.
 
-    Let K be the group exponent, N = n*|Gr| the lift's order and D the base's
-    maximum degree. Each character matrix is Hermitian with at most D
-    unit-modulus entries per row, so every root of the product has |t| <= D
-    and its t^k coefficient is at most C(N, k)*D^(N-k) <= (D+1)^N in absolute
-    value. The Galois group of Q(zeta_K) permutes the characters, so the
+    The characters of Gr = Z_{k1} x ... x Z_{kr} are indexed by its
+    elements: with K = lcm(k_i) the group exponent and zeta_K a primitive
+    K-th root of unity, chi_j(a) = zeta_K^(sum_i j_i*a_i*K/k_i).
+
+    Let N = n*|Gr| be the lift's order and D the base's maximum degree.
+    Each character matrix is Hermitian with at most D unit-modulus entries
+    per row, so every root of the product has |t| <= D and its t^k
+    coefficient is at most C(N, k)*D^(N-k) <= (D+1)^N in absolute value.
+    The Galois group of Q(zeta_K) permutes the characters, so the
     product lies in Z[t]. With r = 2^b and M = Phi_K(r) > 2*(D+1)^N (least
     such b), zeta_K -> r is a ring homomorphism Z[zeta_K] = Z[x]/(Phi_K) ->
     Z/MZ; x^K - 1 would not do, since Z[x]/(x^K - 1) is not Z[zeta_K]. So
@@ -134,11 +137,11 @@ def verify_decomposition(base: Graph, s: Signature) -> VerifyReport:
     charpolys of the images of the character matrices, each entry chi(g)
     mapped to r^e mod M and its mirrored inverse to r^(K-e) mod M.
 
-    The conjugate character has A_conj(chi) = A_chi^T, and its image is the
-    transpose of A_chi's, since r^e and r^(K-e) swap places; a matrix and
-    its transpose have one charpoly. So the factor is computed once per
-    pair of conjugate characters, at the one of lower index, and taken
-    twice unless chi is its own conjugate.
+    The conjugate of chi_j is chi_(j^-1), with A_conj(chi) = A_chi^T, and
+    its image is the transpose of A_chi's, since r^e and r^(K-e) swap
+    places; a matrix and its transpose have one charpoly. So the factor is
+    computed once per pair of conjugate characters, at the one of lower
+    index, and taken twice unless chi is its own conjugate.
     """
     if not s.is_abelian():
         raise NonAbelianSignature("decomposition requires an abelian signature")
@@ -150,18 +153,19 @@ def verify_decomposition(base: Graph, s: Signature) -> VerifyReport:
     while (modulus := sum(c << (b * i) for i, c in enumerate(phi))) <= bound:
         b += 1
     powers = [pow(1 << b, e, modulus) for e in range(exponent)]
-    # each voltage scaled once; chi.index . scaled[edge] mod K is Character's exponent
+    # each voltage a scaled once, each a_i to a_i*K/k_i, so that
+    # chi_j(a) = zeta_K^e for e = j . scaled[edge] mod K, j being `index`
     scaled = {
         edge: [a * (exponent // k) for a, k in zip(g, s.group.orders)] for edge, g in s.assignments.items()
     }
     product = [1]
-    for pos, chi in enumerate(characters(s.group)):
-        conjugate = s.group.index(inverse(s.group, chi.index))
+    for pos, index in enumerate(s.group.elements()):
+        conjugate = s.group.index(inverse(s.group, index))
         if conjugate < pos:
             continue
         m = [[0] * base.n for _ in range(base.n)]
         for (i, j), voltage in scaled.items():
-            e = sum(map(mul, chi.index, voltage)) % exponent
+            e = sum(map(mul, index, voltage)) % exponent
             m[i - 1][j - 1] = powers[e]
             m[j - 1][i - 1] = powers[-e % exponent]
         factor = [c % modulus for c in berkowitz_charpoly(m)]

@@ -1,10 +1,16 @@
 """Brute-force oracles shared by the tests, and the loader of
 scripts/condition_sweep.py. Each oracle computes what the library computes,
-the slow and obvious way, and shares no code with the library."""
+the slow and obvious way. The cyclotomic ring Z[x]/(Phi_K) and the abelian
+characters valued in it take the library's groups and their membership
+check, and Phi_K from algebra.cyclotomic_poly, which test_algebra checks
+against known values; no oracle shares other code with the library."""
 
 import importlib.util
 import itertools
 import os
+from dataclasses import dataclass
+
+from graphlifts.algebra import AbelianGroup, AlgebraError, cyclotomic_poly, require_member
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -52,6 +58,123 @@ def cofactor_charpoly(m):
     n = len(m)
     poly = _poly_det([[[-m[i][j], 1] if i == j else [-m[i][j]] for j in range(n)] for i in range(n)])
     return poly + [0] * (n + 1 - len(poly))
+
+
+class ModulusMismatch(AlgebraError):
+    """Cyclotomic operands have different moduli."""
+
+
+def _cyclo_reduce(modulus: int, coeffs) -> tuple[int, ...]:
+    """The remainder of coeffs by Phi_K, padded to length phi(K)."""
+    phi = cyclotomic_poly(modulus)
+    rem = list(coeffs)
+    # Phi_K is monic: cancel the top coefficient until the degree is below phi(K)
+    for k in range(len(rem) - len(phi), -1, -1):
+        q = rem[k + len(phi) - 1]
+        for j, c in enumerate(phi):
+            rem[k + j] -= q * c
+    rem = rem[: len(phi) - 1]
+    return tuple(rem + [0] * (len(phi) - 1 - len(rem)))
+
+
+@dataclass(frozen=True)
+class CycloElem:
+    """Element of Z[x]/(Phi_K): an integer vector of length phi(K).
+
+    The class of x is a primitive K-th root of unity; equality of reduced
+    coefficient vectors is equality in the ring, so no floating point is ever
+    needed to compare character values.
+    """
+
+    modulus: int
+    coeffs: tuple[int, ...]
+
+    def _check(self, other: "CycloElem") -> None:
+        if self.modulus != other.modulus:
+            raise ModulusMismatch(f"moduli differ: {self.modulus} vs {other.modulus}")
+
+    def __add__(self, other):
+        other = _coerce(self.modulus, other)
+        self._check(other)
+        return CycloElem(self.modulus, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return CycloElem(self.modulus, tuple(-a for a in self.coeffs))
+
+    def __sub__(self, other):
+        return self + -_coerce(self.modulus, other)
+
+    def __rsub__(self, other):
+        return _coerce(self.modulus, other) - self
+
+    def __mul__(self, other):
+        other = _coerce(self.modulus, other)
+        self._check(other)
+        return CycloElem(self.modulus, _cyclo_reduce(self.modulus, _poly_mul(self.coeffs, other.coeffs)))
+
+    __rmul__ = __mul__
+
+    def equals_integer(self, m: int) -> bool:
+        return self.coeffs[0] == m and not any(self.coeffs[1:])
+
+    def as_integer(self) -> int | None:
+        """The integer this element reduces to, or None if it is not one."""
+        return self.coeffs[0] if not any(self.coeffs[1:]) else None
+
+
+def _coerce(modulus: int, v) -> CycloElem:
+    if isinstance(v, CycloElem):
+        return v
+    if isinstance(v, int):
+        return cyclo_int(modulus, v)
+    raise TypeError(f"cannot use {v!r} in cyclotomic arithmetic")
+
+
+def cyclo_int(modulus: int, m: int) -> CycloElem:
+    return CycloElem(modulus, _cyclo_reduce(modulus, [m]))
+
+
+def root_power(modulus: int, t: int) -> CycloElem:
+    """omega^t where omega is the class of x, a primitive K-th root of unity."""
+    t %= modulus
+    return CycloElem(modulus, _cyclo_reduce(modulus, [0] * t + [1]))
+
+
+@dataclass(frozen=True)
+class Character:
+    """Character of an abelian group, indexed by a residue vector.
+
+    For Gr = Z_{k1} x ... x Z_{kr} and K = lcm(k_i), the character with
+    index (j_1,...,j_r) maps (a_1,...,a_r) to omega_K raised to
+    sum_i j_i * a_i * (K / k_i).
+    """
+
+    group: AbelianGroup
+    index: tuple[int, ...]
+
+    def root_exponent(self, e) -> int:
+        require_member(self.group, e)
+        k_lcm = self.group.exponent()
+        total = 0
+        for j, a, k in zip(self.index, e, self.group.orders):
+            total += j * a * (k_lcm // k)
+        return total % k_lcm
+
+    def value(self, e) -> CycloElem:
+        return root_power(self.group.exponent(), self.root_exponent(e))
+
+    def inverse_value(self, e) -> CycloElem:
+        """The ring inverse of value(e)."""
+        return root_power(self.group.exponent(), -self.root_exponent(e))
+
+
+def characters(gr: AbelianGroup) -> list[Character]:
+    """All |Gr| characters in lexicographic index order (trivial first)."""
+    if not isinstance(gr, AbelianGroup):
+        raise AlgebraError("characters are defined for abelian groups only")
+    return [Character(gr, idx) for idx in gr.elements()]
 
 
 def load_condition_sweep():

@@ -13,7 +13,6 @@ import networkx as nx
 from graphlifts import fixtures
 from graphlifts.algebra import (
     AbelianGroup,
-    characters,
     compose,
     format_group,
     inverse,
@@ -26,7 +25,7 @@ from graphlifts.lifts import build_lift, constant_signature, make_signature
 from graphlifts.search import conditions_hold, corollary_generate
 from graphlifts.spectra import charpoly, cospectral, verify_constant_lift_lemma, verify_decomposition
 
-from oracles import brute_force_isomorphic, cofactor_charpoly, load_condition_sweep, mat_mul
+from oracles import brute_force_isomorphic, characters, cofactor_charpoly, load_condition_sweep, mat_mul
 
 Z2 = AbelianGroup((2,))
 Z3 = AbelianGroup((3,))

@@ -6,14 +6,13 @@ from hypothesis import given, strategies as st
 
 from graphlifts.algebra import (
     AbelianGroup,
+    AlgebraError,
     BadElementText,
     BadGroupSpec,
     ElementNotInGroup,
     SymmetricGroup,
     berkowitz_charpoly,
-    characters,
     compose,
-    cyclo_int,
     cyclotomic_poly,
     fiber_action,
     format_element,
@@ -25,10 +24,9 @@ from graphlifts.algebra import (
     poly_divexact,
     poly_mul,
     poly_text,
-    root_power,
 )
 
-from oracles import cofactor_charpoly, mat_mul
+from oracles import characters, cofactor_charpoly, cyclo_int, mat_mul, root_power
 
 SMALL_ABELIAN = [
     AbelianGroup((2,)),
@@ -163,6 +161,18 @@ def test_cyclotomic_poly_divides_x_k_minus_1(k):
     xk_minus_1 = [-1] + [0] * (k - 1) + [1]
     q = poly_divexact(xk_minus_1, phi)
     assert poly_mul(q, phi) == xk_minus_1
+
+
+def test_poly_divexact_rejects_a_quotient_that_is_not_integral():
+    # x + 1 by 2x: the quotient's coefficient would be 1/2
+    with pytest.raises(AlgebraError, match="is not exact"):
+        poly_divexact([1, 1], [0, 2])
+
+
+def test_poly_divexact_rejects_a_remainder():
+    # x^2 + 1 = (x - 1)(x + 1) + 2
+    with pytest.raises(AlgebraError, match="leaves a remainder"):
+        poly_divexact([1, 0, 1], [1, 1])
 
 
 def test_cyclotomic_poly_known_values():

@@ -13,8 +13,6 @@ from graphlifts import spectra
 from graphlifts.algebra import (
     AbelianGroup,
     berkowitz_charpoly,
-    characters,
-    cyclo_int,
     cyclotomic_poly,
     inverse,
     parse_group,
@@ -23,6 +21,8 @@ from graphlifts.algebra import (
 from graphlifts.graphs import Graph, adjacency_matrix, degree_sequence, from_edge_list, neighbor_lists
 from graphlifts.lifts import NonAbelianSignature, build_lift, make_signature
 from graphlifts.spectra import charpoly, lift_charpoly, verify_decomposition
+
+from oracles import characters, cyclo_int
 
 
 def dense_berkowitz(matrix, zero=0, one=1):

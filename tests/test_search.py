@@ -9,9 +9,7 @@ from graphlifts import fixtures
 from graphlifts.algebra import (
     AbelianGroup,
     SymmetricGroup,
-    characters,
     compose,
-    cyclo_int,
     inverse,
     power_product,
 )
@@ -36,6 +34,8 @@ from graphlifts.search import (
     signature_from_rank,
 )
 from graphlifts.spectra import charpoly, cospectral
+
+from oracles import characters, cyclo_int
 
 Z2 = AbelianGroup((2,))
 Z3 = AbelianGroup((3,))
