@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 
@@ -288,27 +287,6 @@ def poly_mul(a: list, b: list) -> list:
     return poly_trim(out)
 
 
-def poly_divexact(a: list, b: list) -> list:
-    """Exact quotient a / b over the integers; raises if it does not divide."""
-    b = poly_trim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    out = [0] * max(len(a) - len(b) + 1, 0)
-    lead = b[-1]
-    for k in range(len(out) - 1, -1, -1):
-        num = a[k + len(b) - 1]
-        if num % lead:
-            raise AlgebraError("polynomial division is not exact")
-        q = out[k] = num // lead
-        if q:
-            for j, cb in enumerate(b):
-                a[k + j] -= q * cb
-    if any(a[: len(b) - 1]):
-        raise AlgebraError("polynomial division leaves a remainder")
-    return poly_trim(out)
-
-
 def poly_text(a: list) -> str:
     """Bracketed integer list, highest degree first: the CLI output form."""
     if not a:
@@ -316,24 +294,19 @@ def poly_text(a: list) -> str:
     return "[" + ", ".join(str(c) for c in reversed(a)) + "]"
 
 
-@lru_cache(maxsize=None)
-def cyclotomic_poly(k: int) -> tuple[int, ...]:
-    """The k-th cyclotomic polynomial, monic of degree phi(k).
+def cyclotomic_value(k: int, r: int) -> int:
+    """Phi_k(r), the k-th cyclotomic polynomial at an integer r >= 2.
 
-    Computed by exactly dividing x^k - 1 by the product of Phi_d over the
-    proper divisors d of k.
+    As r^m - 1 is the product of Phi_d(r) over the divisors d of m,
+    Phi_m(r) = (r^m - 1) / (the product of Phi_d(r) over the divisors d < m
+    of m), taken over the divisors m of k in increasing order. Each division
+    is exact, and no Phi_d(r) is zero for r >= 2.
     """
-    if k < 1:
-        raise AlgebraError(f"cyclotomic index must be positive, got {k}")
-    if k == 1:
-        return (-1, 1)
-    xk1 = [0] * (k + 1)
-    xk1[0], xk1[k] = -1, 1
-    divisor = [1]
-    for d in range(1, k):
-        if k % d == 0:
-            divisor = poly_mul(divisor, list(cyclotomic_poly(d)))
-    return tuple(poly_divexact(xk1, divisor))
+    values: dict[int, int] = {}
+    for m in range(1, k + 1):
+        if k % m == 0:
+            values[m] = (r**m - 1) // math.prod(v for d, v in values.items() if m % d == 0)
+    return values[k]
 
 
 # ---------------------------------------------------------------------------

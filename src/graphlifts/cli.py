@@ -49,6 +49,10 @@ from .search import (
 )
 from .spectra import charpoly, cospectral, verify_decomposition
 
+# verify-mota's ceiling on the lift order n*|Gr|: at 84 vertices the costliest
+# shape measured, K42 over Z2 with every voltage 1, takes about 5 s
+LIFT_CEILING = 84
+
 
 def matrix_problems(m) -> list[str]:
     """Violations of the transcription invariants: the adjacency-matrix
@@ -145,6 +149,8 @@ def _cmd_iso(args) -> int:
 def _cmd_verify_mota(args) -> int:
     base = load_graph(args.graph)
     sig = load_signature(args.signature, base)
+    if (order := base.n * sig.group.fiber_size()) > LIFT_CEILING:
+        raise SystemExit2(f"verify-mota supports lifts of at most {LIFT_CEILING} vertices, got {order}")
     report = verify_decomposition(base, sig)
     print(f"lift charpoly:      {poly_text(report.lift_poly)}")
     print(f"character product:  {poly_text(report.product_poly)}")

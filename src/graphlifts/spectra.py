@@ -19,6 +19,7 @@ verify_decomposition).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import mul
 
@@ -26,7 +27,7 @@ from .algebra import (
     AbelianGroup,
     berkowitz_charpoly,
     compose,
-    cyclotomic_poly,
+    cyclotomic_value,
     inverse,
     poly_mul,
 )
@@ -108,6 +109,22 @@ def cospectral(g: Graph, h: Graph) -> bool:
     return charpoly(g) == charpoly(h)
 
 
+def character_modulus(exponent: int, bound: int) -> tuple[int, int]:
+    """The least b >= 1 with M = Phi_K(2^b) > 2*bound for K = exponent, and
+    that M. Phi_K(x), the product of |x - zeta| over the primitive K-th roots
+    of unity, increases for real x >= 1, so the search may start anywhere: at
+    b = ceil(bit_length(2*bound) / phi(K)), from the leading term
+    2^(b*phi(K)), it steps down while b - 1 qualifies, then up until b does.
+    """
+    phi = sum(math.gcd(j, exponent) == 1 for j in range(1, exponent + 1))
+    b = -(-(2 * bound).bit_length() // phi)
+    while b > 1 and cyclotomic_value(exponent, 1 << (b - 1)) > 2 * bound:
+        b -= 1
+    while (modulus := cyclotomic_value(exponent, 1 << b)) <= 2 * bound:
+        b += 1
+    return b, modulus
+
+
 @dataclass(frozen=True)
 class VerifyReport:
     holds: bool
@@ -132,7 +149,8 @@ def verify_decomposition(base: Graph, s: Signature) -> VerifyReport:
     The Galois group of Q(zeta_K) permutes the characters, so the
     product lies in Z[t]. With r = 2^b and M = Phi_K(r) > 2*(D+1)^N (least
     such b), zeta_K -> r is a ring homomorphism Z[zeta_K] = Z[x]/(Phi_K) ->
-    Z/MZ; x^K - 1 would not do, since Z[x]/(x^K - 1) is not Z[zeta_K]. So
+    Z/MZ; x^K - 1 would not do, since Z[x]/(x^K - 1) is not Z[zeta_K]. M
+    is an exact integer quotient, as r^m - 1 = prod_{d | m} Phi_d(r). So
     the product is the symmetric residues mod M of the product of the integer
     charpolys of the images of the character matrices, each entry chi(g)
     mapped to r^e mod M and its mirrored inverse to r^(K-e) mod M.
@@ -147,11 +165,8 @@ def verify_decomposition(base: Graph, s: Signature) -> VerifyReport:
         raise NonAbelianSignature("decomposition requires an abelian signature")
     lift_poly = lift_charpoly(base, s)
     exponent = s.group.exponent()
-    bound = 2 * (max(degree_sequence(base), default=0) + 1) ** (base.n * s.group.order())
-    phi = cyclotomic_poly(exponent)
-    b = 1
-    while (modulus := sum(c << (b * i) for i, c in enumerate(phi))) <= bound:
-        b += 1
+    bound = (max(degree_sequence(base), default=0) + 1) ** (base.n * s.group.order())
+    b, modulus = character_modulus(exponent, bound)
     powers = [pow(1 << b, e, modulus) for e in range(exponent)]
     # each voltage a scaled once, each a_i to a_i*K/k_i, so that
     # chi_j(a) = zeta_K^e for e = j . scaled[edge] mod K, j being `index`

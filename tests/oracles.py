@@ -1,16 +1,17 @@
 """Brute-force oracles shared by the tests, and the loader of
 scripts/condition_sweep.py. Each oracle computes what the library computes,
 the slow and obvious way. The cyclotomic ring Z[x]/(Phi_K) and the abelian
-characters valued in it take the library's groups and their membership
-check, and Phi_K from algebra.cyclotomic_poly, which test_algebra checks
-against known values; no oracle shares other code with the library."""
+characters valued in it build Phi_K here, by polynomial long division, and
+take from the library only the group type, its membership check and the
+error base class; no oracle shares other code with the library."""
 
 import importlib.util
 import itertools
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
-from graphlifts.algebra import AbelianGroup, AlgebraError, cyclotomic_poly, require_member
+from graphlifts.algebra import AbelianGroup, AlgebraError, require_member
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -58,6 +59,50 @@ def cofactor_charpoly(m):
     n = len(m)
     poly = _poly_det([[[-m[i][j], 1] if i == j else [-m[i][j]] for j in range(n)] for i in range(n)])
     return poly + [0] * (n + 1 - len(poly))
+
+
+def _poly_trim(cs):
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def poly_divexact(a, b):
+    """Exact quotient a / b over the integers; raises if it does not divide."""
+    b = _poly_trim(list(b))
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    a = list(a)
+    out = [0] * max(len(a) - len(b) + 1, 0)
+    lead = b[-1]
+    for k in range(len(out) - 1, -1, -1):
+        num = a[k + len(b) - 1]
+        if num % lead:
+            raise AlgebraError("polynomial division is not exact")
+        q = out[k] = num // lead
+        if q:
+            for j, cb in enumerate(b):
+                a[k + j] -= q * cb
+    if any(a[: len(b) - 1]):
+        raise AlgebraError("polynomial division leaves a remainder")
+    return _poly_trim(out)
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_poly(k: int) -> tuple[int, ...]:
+    """The k-th cyclotomic polynomial, monic of degree phi(k): x^k - 1
+    divided exactly by the product of Phi_d over the proper divisors d of k."""
+    if k < 1:
+        raise AlgebraError(f"cyclotomic index must be positive, got {k}")
+    if k == 1:
+        return (-1, 1)
+    xk1 = [0] * (k + 1)
+    xk1[0], xk1[k] = -1, 1
+    divisor = [1]
+    for d in range(1, k):
+        if k % d == 0:
+            divisor = _poly_mul(divisor, list(cyclotomic_poly(d)))
+    return tuple(poly_divexact(xk1, divisor))
 
 
 class ModulusMismatch(AlgebraError):

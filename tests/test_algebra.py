@@ -13,7 +13,7 @@ from graphlifts.algebra import (
     SymmetricGroup,
     berkowitz_charpoly,
     compose,
-    cyclotomic_poly,
+    cyclotomic_value,
     fiber_action,
     format_element,
     format_group,
@@ -21,12 +21,19 @@ from graphlifts.algebra import (
     parse_element,
     parse_group,
     perm_matrix,
-    poly_divexact,
     poly_mul,
     poly_text,
 )
 
-from oracles import characters, cofactor_charpoly, cyclo_int, mat_mul, root_power
+from oracles import (
+    characters,
+    cofactor_charpoly,
+    cyclo_int,
+    cyclotomic_poly,
+    mat_mul,
+    poly_divexact,
+    root_power,
+)
 
 SMALL_ABELIAN = [
     AbelianGroup((2,)),
@@ -173,6 +180,13 @@ def test_poly_divexact_rejects_a_remainder():
     # x^2 + 1 = (x - 1)(x + 1) + 2
     with pytest.raises(AlgebraError, match="leaves a remainder"):
         poly_divexact([1, 0, 1], [1, 1])
+
+
+@pytest.mark.parametrize("k", list(range(1, 61)))
+def test_cyclotomic_value_is_the_oracle_polynomial_at_r(k):
+    phi = cyclotomic_poly(k)
+    for r in (2, 3, 2**5, 2**61):
+        assert cyclotomic_value(k, r) == sum(c * r**i for i, c in enumerate(phi)), r
 
 
 def test_cyclotomic_poly_known_values():

@@ -13,7 +13,6 @@ from graphlifts import spectra
 from graphlifts.algebra import (
     AbelianGroup,
     berkowitz_charpoly,
-    cyclotomic_poly,
     inverse,
     parse_group,
     poly_mul,
@@ -22,7 +21,7 @@ from graphlifts.graphs import Graph, adjacency_matrix, degree_sequence, from_edg
 from graphlifts.lifts import NonAbelianSignature, build_lift, make_signature
 from graphlifts.spectra import charpoly, lift_charpoly, verify_decomposition
 
-from oracles import characters, cyclo_int
+from oracles import characters, cyclo_int, cyclotomic_poly
 
 
 def dense_berkowitz(matrix, zero=0, one=1):
@@ -290,10 +289,8 @@ def _character_images(base, s):
     """The image mod M of every character matrix, with M and r = 2^b chosen
     as verify_decomposition chooses them."""
     k, gr = s.group.exponent(), s.group
-    bound = 2 * (max(degree_sequence(base), default=0) + 1) ** (base.n * gr.order())
-    phi, b = cyclotomic_poly(k), 1
-    while (modulus := sum(c << (b * i) for i, c in enumerate(phi))) <= bound:
-        b += 1
+    bound = (max(degree_sequence(base), default=0) + 1) ** (base.n * gr.order())
+    b, modulus = spectra.character_modulus(k, bound)
     images = []
     for chi in characters(gr):
         m = [[0] * base.n for _ in range(base.n)]
@@ -303,6 +300,32 @@ def _character_images(base, s):
             m[j - 1][i - 1] = pow(2**b, -e % k, modulus)
         images.append(m)
     return images
+
+
+def _phi_at_power_of_two(k, b):
+    """Phi_K(2^b) from the oracle's polynomial Phi_K."""
+    return sum(c << (b * i) for i, c in enumerate(cyclotomic_poly(k)))
+
+
+def _least_modulus(k, bound):
+    """The least b >= 1 with Phi_K(2^b) > 2*bound, counted up from b = 1, and
+    that Phi_K(2^b)."""
+    b = 1
+    while (modulus := _phi_at_power_of_two(k, b)) <= 2 * bound:
+        b += 1
+    return b, modulus
+
+
+def test_character_modulus_is_the_least_b_with_phi_above_twice_the_bound():
+    # Bounds C with Phi_K(2^b)/2 <= C < Phi_K(2^b) need b + 1: there a
+    # modulus above C alone would not do, as symmetric residues need M > 2C.
+    for k in range(1, 61):
+        bounds = {1, 7**84, 3**200}
+        for b in range(1, 5):
+            value = _phi_at_power_of_two(k, b)
+            bounds.update(c for c in ((value + 1) // 2, value - 1) if 1 <= c < value)
+        for bound in sorted(bounds):
+            assert spectra.character_modulus(k, bound) == _least_modulus(k, bound), (k, bound)
 
 
 @pytest.mark.parametrize("gr", LIFT_GROUPS, ids=_group_id)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -244,6 +245,30 @@ def test_iso_past_size_ceiling_exits_2(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: isomorphism supports at most 192 vertices")
+
+
+def test_verify_mota_past_lift_ceiling_exits_2(tmp_path):
+    # K85 over Z1 is one vertex past the ceiling and would take seconds;
+    # K2 over Z3000000 would build a lift of 6,000,000 vertices; K2 over Z42
+    # is at the ceiling and runs.
+    k85 = from_edge_list(85, [(i, j) for i in range(1, 86) for j in range(i + 1, 86)])
+    cases = [
+        (k85, "group Z1\n" + "".join(f"{i} {j} : 0\n" for i, j in k85.edges), 2, 85),
+        (from_edge_list(2, [(1, 2)]), "group Z3000000\n1 2 : 1\n", 2, 6000000),
+        (from_edge_list(2, [(1, 2)]), "group Z42\n1 2 : 1\n", 0, None),
+    ]
+    for k, (base, signature, code, order) in enumerate(cases):
+        graph, sig = tmp_path / f"g{k}.edges", tmp_path / f"s{k}.sig"
+        graph.write_text(emit_edge_list(base))
+        sig.write_text(signature)
+        cmd = [sys.executable, "-m", "graphlifts.cli", "verify-mota", "--graph", str(graph)]
+        start = time.perf_counter()
+        run = subprocess.run(cmd + ["--signature", str(sig)], capture_output=True, text=True, timeout=60)
+        assert time.perf_counter() - start < 1.0
+        assert run.returncode == code, run.stderr
+        if order is not None:
+            assert run.stdout == ""
+            assert run.stderr == f"error: verify-mota supports lifts of at most 84 vertices, got {order}\n"
 
 
 def test_fixture_set_matrices_are_well_formed():

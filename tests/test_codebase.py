@@ -40,6 +40,30 @@ def test_every_export_resolves():
     assert [name for name in graphlifts.__all__ if not hasattr(graphlifts, name)] == []
 
 
+def test_oracles_take_only_the_group_type_and_its_checks_from_the_library():
+    # an oracle that borrowed the library's computation would check it
+    # against itself
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text(encoding="utf-8"))
+    taken = {
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("graphlifts")
+        for alias in node.names
+    }
+    taken |= {
+        (alias.name, None)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name.startswith("graphlifts")
+    }
+    assert taken == {
+        ("graphlifts.algebra", "AbelianGroup"),
+        ("graphlifts.algebra", "AlgebraError"),
+        ("graphlifts.algebra", "require_member"),
+    }
+
+
 def _unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
     imported: dict[str, int] = {}
