@@ -53,6 +53,10 @@ from .spectra import charpoly, cospectral, verify_decomposition
 # shape measured, K42 over Z2 with every voltage 1, takes about 5 s
 LIFT_CEILING = 84
 
+# charpoly's and cospectral's ceiling on a graph's vertex count: at 100 the
+# densest graph, K100, takes 3.2-7.5 s, and cospectral on two of them 8.9-9.9 s
+CHARPOLY_CEILING = 100
+
 
 def matrix_problems(m) -> list[str]:
     """Violations of the transcription invariants: the adjacency-matrix
@@ -118,20 +122,23 @@ def _cmd_lift(args) -> int:
     return 0
 
 
+def _charpoly_inputs(command: str, *paths: str) -> list[Graph]:
+    graphs = [load_graph(path) for path in paths]
+    if (n := max(g.n for g in graphs)) > CHARPOLY_CEILING:
+        raise SystemExit2(f"{command} supports graphs of at most {CHARPOLY_CEILING} vertices, got {n}")
+    return graphs
+
+
 def _cmd_charpoly(args) -> int:
-    g = load_graph(args.graph)
+    (g,) = _charpoly_inputs("charpoly", args.graph)
     print(poly_text(charpoly(g)))
     return 0
 
 
 def _cmd_cospectral(args) -> int:
-    a = load_graph(args.graph_a)
-    b = load_graph(args.graph_b)
-    if cospectral(a, b):
-        print("cospectral")
-        return 0
-    print("not cospectral")
-    return 1
+    same = cospectral(*_charpoly_inputs("cospectral", args.graph_a, args.graph_b))
+    print("cospectral" if same else "not cospectral")
+    return 0 if same else 1
 
 
 def _cmd_iso(args) -> int:

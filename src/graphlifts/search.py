@@ -345,15 +345,15 @@ def rank_blocks(
     rows, in rank_g order, where rows is the G class's one shared list of
     (rank_h, conditions, non-isomorphic) in rank_h order.
 
-    The arguments are checked before this returns. The join lists the
-    pairs of switching classes that yield rows: each class gets one
-    charpoly, on its normalised representative, pairs are joined by exact
-    charpoly equality, and the fixture conditions are evaluated once per
-    cospectral pair. Every vertex of a lift inherits the degree of its base
+    The arguments are checked before this returns. Each class gets one
+    charpoly, on its normalised representative: every H class before the
+    first block, and a G class when its first rank is reached. That G class
+    is then joined to the H classes of equal charpoly, with the fixture
+    conditions once per cospectral class pair, and its rows are kept for
+    its later ranks. Every vertex of a lift inherits the degree of its base
     vertex, so lifts of bases with different degree sequences are never
-    isomorphic; otherwise each class in a listed pair gets one canonical
-    form. The expansion groups the H ranks by class, gives each G class one
-    list of rows, and walks the G ranks in order.
+    isomorphic; otherwise each class in a pair that yields rows gets one
+    canonical form.
     """
     if not isinstance(gr, AbelianGroup):
         raise NonAbelianSignature("search requires an abelian group")
@@ -375,41 +375,41 @@ def rank_blocks(
 
 
 def _blocks(g: Graph, h: Graph, gr: AbelianGroup, filter_by_theorem: bool, on_fixture: bool):
+    # Up front, the H side: each class's charpoly, and the ranks of each class.
     classes_g = SwitchingClasses(g, gr)
     classes_h = SwitchingClasses(h, gr)
-    reps_g = [classes_g.representative(c) for c in range(classes_g.count)]
     reps_h = [classes_h.representative(c) for c in range(classes_h.count)]
-    polys_g = [tuple(lift_charpoly(g, s)) for s in reps_g]
-    polys_h = [tuple(lift_charpoly(h, s)) for s in reps_h]
-
-    # Join: every pair of classes that yields rows, with the conditions.
     classes_h_by_poly: dict[tuple[int, ...], list[int]] = {}
-    for ch, poly in enumerate(polys_h):
-        classes_h_by_poly.setdefault(poly, []).append(ch)
-    pairs = []
-    for cg, poly in enumerate(polys_g):
-        for ch in classes_h_by_poly.get(poly, ()):
-            cond = conditions_hold(reps_g[cg], reps_h[ch]) if on_fixture else None
-            if cond or not filter_by_theorem:
-                pairs.append((cg, ch, cond))
-    form_g = form_h = None
-    if degree_sequence(g) == degree_sequence(h):
-        form_g = {c: canonical_form(build_lift(g, reps_g[c])).edges for c in {p[0] for p in pairs}}
-        form_h = {c: canonical_form(build_lift(h, reps_h[c])).edges for c in {p[1] for p in pairs}}
-    pairs = [(cg, ch, cond, form_g is None or form_g[cg] != form_h[ch]) for cg, ch, cond in pairs]
-
-    # Expansion: each G class's rows, then every G rank in order. An H rank
-    # lies in one class, so one G class's rows have distinct rank_h and
-    # sorting them compares rank_h only.
+    for ch, rep_h in enumerate(reps_h):
+        classes_h_by_poly.setdefault(tuple(lift_charpoly(h, rep_h)), []).append(ch)
     ranks_h: list[list[int]] = [[] for _ in range(classes_h.count)]
     for rank_h, ch in enumerate(classes_h.class_ids()):
         ranks_h[ch].append(rank_h)
-    rows_of_class: dict[int, list] = {}
-    for cg, ch, cond, non_iso in pairs:
-        rows_of_class.setdefault(cg, []).extend((rank_h, cond, non_iso) for rank_h in ranks_h[ch])
-    for rows in rows_of_class.values():
-        rows.sort()
+    same_degrees = degree_sequence(g) == degree_sequence(h)
+    forms_h: dict[int, tuple] = {}
+    blocks: dict[int, tuple] = {}  # G class -> (charpoly, rows)
+
+    # Each G class is joined on its first rank. Every lift has n*|Gr|
+    # vertices, so if a canonical form is refused, the first one is, before
+    # any row. An H rank lies in one class, so one G class's rows have
+    # distinct rank_h and sorting them compares rank_h only.
     for rank_g, cg in enumerate(classes_g.class_ids()):
-        rows = rows_of_class.get(cg)
-        if rows is not None:
-            yield rank_g, cg, polys_g[cg], rows
+        block = blocks.get(cg)
+        if block is None:
+            rep_g = classes_g.representative(cg)
+            poly = tuple(lift_charpoly(g, rep_g))
+            form_g, rows = None, []
+            for ch in classes_h_by_poly.get(poly, ()):
+                cond = conditions_hold(rep_g, reps_h[ch]) if on_fixture else None
+                if filter_by_theorem and not cond:
+                    continue
+                if same_degrees and form_g is None:
+                    form_g = canonical_form(build_lift(g, rep_g)).edges
+                if same_degrees and ch not in forms_h:
+                    forms_h[ch] = canonical_form(build_lift(h, reps_h[ch])).edges
+                non_iso = not same_degrees or form_g != forms_h[ch]
+                rows.extend((rank_h, cond, non_iso) for rank_h in ranks_h[ch])
+            rows.sort()
+            block = blocks[cg] = poly, rows
+        if block[1]:
+            yield rank_g, cg, *block

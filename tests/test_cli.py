@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import os
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -269,6 +270,54 @@ def test_verify_mota_past_lift_ceiling_exits_2(tmp_path):
         if order is not None:
             assert run.stdout == ""
             assert run.stderr == f"error: verify-mota supports lifts of at most 84 vertices, got {order}\n"
+
+
+def _limit_address_space():
+    # 1 GiB: a 10^9-square matrix cannot start to be built under it
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def test_charpoly_and_cospectral_past_vertex_ceiling_exit_2(tmp_path):
+    # P100 is at the ceiling and runs; P101 is one past it. The header
+    # "1000000000 0" declares 10^9 vertices and no edge: it parses at once,
+    # and the refusal must come before its adjacency matrix is built. Each run
+    # is a child with a bounded address space, so a missing check fails with
+    # MemoryError instead of taking the host's memory.
+    p100, p101, huge = (str(tmp_path / name) for name in ("p100.edges", "p101.edges", "huge.edges"))
+    for path, n in ((p100, 100), (p101, 101)):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(emit_edge_list(from_edge_list(n, [(i, i + 1) for i in range(1, n)])))
+    with open(huge, "w", encoding="utf-8") as fh:
+        fh.write("1000000000 0\n")
+    cases = [
+        (["charpoly", p100], 0, None),
+        (["cospectral", p100, p100], 0, None),
+        (["charpoly", p101], 2, "charpoly", 101),
+        (["cospectral", p100, p101], 2, "cospectral", 101),
+        (["charpoly", huge], 2, "charpoly", 10**9),
+        (["cospectral", huge, p100], 2, "cospectral", 10**9),
+    ]
+    for argv, code, *refusal in cases:
+        start = time.perf_counter()
+        run = subprocess.run(
+            [sys.executable, "-m", "graphlifts.cli", *argv],
+            capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space,
+        )
+        assert time.perf_counter() - start < 5.0
+        assert run.returncode == code, run.stderr
+        if refusal[0] is not None:
+            command, n = refusal
+            assert run.stdout == ""
+            assert run.stderr == f"error: {command} supports graphs of at most 100 vertices, got {n}\n"
+
+
+def test_search_refuses_a_canonical_form_before_writing_a_row(capsys, tmp_path):
+    # K2 against itself: equal degree sequences, so each paired class needs
+    # a canonical form, and over Z100 the lifts have 200 vertices
+    k2 = tmp_path / "k2.edges"
+    k2.write_text("2 1\n1 2\n")
+    assert main(["search", "--base-g", str(k2), "--base-h", str(k2), "--group", "Z100"]) == 2
+    assert capsys.readouterr() == ("", "error: canonical form supports at most 192 vertices, got 200\n")
 
 
 def test_fixture_set_matrices_are_well_formed():

@@ -202,3 +202,13 @@ UNCALLED = {
 
 def test_no_helper_lacks_a_caller():
     assert _helpers_without_caller(ROOT) == sorted(UNCALLED)
+
+
+# ROADMAP item 8's bound on the library: a change that needs more lines in
+# src/ takes them from elsewhere in src/ first.
+SRC_LINE_CAP = 2500
+
+
+def test_src_stays_within_its_line_cap():
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in PACKAGE.glob("*.py"))
+    assert lines <= SRC_LINE_CAP

@@ -33,7 +33,7 @@ from graphlifts.search import (
     signature_count,
     signature_from_rank,
 )
-from graphlifts.spectra import charpoly, cospectral
+from graphlifts.spectra import charpoly, cospectral, lift_charpoly
 
 from oracles import characters, cyclo_int
 
@@ -566,3 +566,25 @@ def test_search_computes_one_canonical_form_per_paired_class(monkeypatch):
     calls.clear()
     assert search(fixtures.BASE_G, fixtures.BASE_H, Z2)
     assert calls == []
+
+
+@pytest.mark.parametrize("gr, first, total", [(Z2, 5, 8), (Z3, 10, 18)], ids=["Z2", "Z3"])
+def test_rank_blocks_joins_each_g_class_on_its_first_rank(gr, first, total, monkeypatch):
+    # every H class's charpoly comes before the first block, a G class's
+    # only when its first rank is reached, and no class's twice
+    module = importlib.import_module("graphlifts.search")
+    calls = []
+
+    def counting(base, s):
+        calls.append(base)
+        return lift_charpoly(base, s)
+
+    monkeypatch.setattr(module, "lift_charpoly", counting)
+    blocks = rank_blocks(fixtures.BASE_G, fixtures.BASE_H, gr)
+    assert calls == []
+    assert next(blocks)[0] == 0
+    assert calls == [fixtures.BASE_H] * (first - 1) + [fixtures.BASE_G]
+    for _ in blocks:
+        pass
+    assert len(calls) == total
+    assert calls.count(fixtures.BASE_G) == calls.count(fixtures.BASE_H) == total // 2
