@@ -4,10 +4,11 @@
 
 The conditions and a lift's charpoly depend only on each signature's
 switching class, so every pair (G class, H class) is checked once, on class
-representatives; a class pair stands for the product of its class sizes in
-signature pairs. The constant-lift lemma is checked for every involution.
-Exits 1 if a condition-passing pair is not cospectral or the lemma fails,
-and 2 on a group with more than MAX_CLASSES classes a side.
+representatives: its cospectrality read from search.ClassJoin, its
+conditions checked here. A class pair stands for the product of its class
+sizes in signature pairs. The constant-lift lemma is checked for every
+involution. Exits 1 if a condition-passing pair is not cospectral or the
+lemma fails, and 2 on a group with more than MAX_CLASSES classes a side.
 """
 
 import argparse
@@ -15,8 +16,8 @@ import sys
 
 from graphlifts.algebra import AbelianGroup, BadGroupSpec, compose, format_group, parse_group
 from graphlifts.fixtures import BASE_G, BASE_H
-from graphlifts.search import SwitchingClasses, check_condition1, conditions_hold, signature_count
-from graphlifts.spectra import lift_charpoly, verify_constant_lift_lemma
+from graphlifts.search import ClassJoin, check_condition1, conditions_hold, signature_count
+from graphlifts.spectra import verify_constant_lift_lemma
 
 Z2 = AbelianGroup((2,))
 # The most switching classes a side that a sweep takes on: Z20's 400.
@@ -26,22 +27,18 @@ MAX_CLASSES = 400
 def sweep_class_pairs(gr: AbelianGroup):
     """Each side's (class count, class size), then the sets of (class_g,
     class_h) pairs that are cospectral and that pass the conditions."""
-    sides = []
-    for base in (BASE_G, BASE_H):
-        classes = SwitchingClasses(base, gr)
-        reps = [classes.representative(c) for c in range(classes.count)]
-        polys = [tuple(lift_charpoly(base, s)) for s in reps]
-        sides.append((reps, polys, (classes.count, signature_count(base, gr) // classes.count)))
-    (reps_g, polys_g, shape_g), (reps_h, polys_h, shape_h) = sides
-    cospectral = {
-        (cg, ch) for cg, pg in enumerate(polys_g) for ch, ph in enumerate(polys_h) if pg == ph
-    }
+    join = ClassJoin(BASE_G, BASE_H, gr)
+    shape_g, shape_h = (
+        (c.count, signature_count(c.base, gr) // c.count) for c in (join.classes_g, join.classes_h)
+    )
+    reps_g = [join.classes_g.representative(c) for c in range(join.classes_g.count)]
+    cospectral = {(cg, ch) for cg in range(len(reps_g)) for ch, _, _ in join.pairs(cg)[1]}
     # a G class that fails condition 1 passes with no H class
     passing = {
         (cg, ch)
         for cg, sg in enumerate(reps_g)
         if check_condition1(sg)
-        for ch, sh in enumerate(reps_h)
+        for ch, sh in enumerate(join.reps_h)
         if conditions_hold(sg, sh)
     }
     return shape_g, shape_h, cospectral, passing

@@ -7,10 +7,12 @@ character-matrix charpolys. Prints a summary; exits 1 on any failure.
 """
 
 import argparse
+import math
 import random
 import sys
 
 from graphlifts.algebra import AbelianGroup, format_group, poly_text
+from graphlifts.cli import LIFT_CEILING
 from graphlifts.graphs import from_edge_list
 from graphlifts.lifts import make_signature
 from graphlifts.spectra import verify_decomposition
@@ -71,6 +73,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.max_n < 2:
         parser.error(f"--max-n must be at least 2, got {args.max_n}")
+    # a lift has up to max_n times the largest pool order vertices, and
+    # verify-mota refuses lifts past LIFT_CEILING
+    top = LIFT_CEILING // max(map(math.prod, GROUP_POOL))
+    if args.max_n > top:
+        parser.error(
+            f"--max-n must be at most {top}, so every lift stays within {LIFT_CEILING} vertices, "
+            f"got {args.max_n}"
+        )
     if args.trials < 0:
         parser.error(f"--trials must be at least 0, got {args.trials}")
     return 1 if run_trials(args.trials, args.seed, args.max_n, args.verbose) else 0

@@ -315,8 +315,7 @@ def cyclotomic_value(k: int, r: int) -> int:
 
 
 def berkowitz_charpoly(matrix) -> list:
-    """Monic characteristic polynomial det(tI - M) of a square integer
-    matrix.
+    """Monic characteristic polynomial det(tI - M) of a square integer matrix.
 
     Samuelson-Berkowitz recursion: entirely division-free, so every value it
     forms is a sum of products of entries, and the result is exact in
@@ -328,11 +327,12 @@ def berkowitz_charpoly(matrix) -> list:
     Toeplitz lower-triangular matrix with first column
     [1, -a, -R*C, -R*B*C, ..., -R*B^(m-1)*C] with q.
 
-    The matrix is walked sparsely: the non-zero entries are listed once per
-    row and per column, the Krylov vector B^s*C is a dict keyed by the rows
-    it reaches, and it is pushed only through the columns of the trailing
-    block. On a lift, whose rows hold at most the base's maximum degree of
-    non-zero entries, each step costs that degree times the vector's support.
+    The matrix is walked sparsely: non-zero entries are listed per row and
+    per column, and the Krylov vector B^s*C, a dict keyed by the rows it
+    reaches, is pushed only through the trailing block's columns. Its inputs,
+    verify-mota's character matrices, charpoly and cospectral graphs and
+    verify-paper's 18-vertex S3 lifts, are mostly sparse, and there this
+    beats the dense recursion; only on dense inputs such as K100 is it slower.
     """
     n = len(matrix)
     for row in matrix:

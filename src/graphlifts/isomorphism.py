@@ -45,24 +45,29 @@ and prunes with them, after McKay & Piperno, "Practical graph isomorphism,
 II" (J. Symb. Comput. 60, 2014). Each node keeps the recorded automorphisms
 that fix its path of individualized vertices, the ones its parent kept that
 also fix its own vertex, and joins them into orbits in a union-find whose
-roots are the least vertices of their orbits; after each child it folds in
-only the automorphisms recorded since. An automorphism that fixes the path
-maps the node's partition onto itself, since refinement commutes with
-relabeling, so it maps each cell onto itself; an orbit that meets the cell
-being individualized therefore lies inside it, and a union-find over that
-cell alone finds it. Each automorphism is kept with its links, the least
-vertex of each of its cycles paired with the cycle's other vertices: a
-cycle lies inside the cell or outside it, and joining its links joins the
-cycle, so a join costs the vertices the automorphism moves, not n. A child
-in the orbit of a sibling explored before it is skipped. When a leaf equals
-the best one, the rest of its branch at the depth where its path parts from
-the best leaf's path is skipped too: the automorphism carries the best
-leaf's branch, explored in full, onto that branch. Refinement commutes with
-relabeling, so a skipped subtree is the image of an explored one under an
-automorphism and holds the same leaf strings, each met later in the search
-order than its preimage. The pruned search therefore returns the same best
-string and the same first leaf reaching it, hence the same edges and
-relabeling, as the search without pruning.
+roots are the least vertices of their orbits; after each child it folds in,
+unchecked, the automorphisms recorded since. Each fixes the path: it was
+recorded below the node at a leaf equal to the best one, and every node
+deeper than where the two leaves' paths part returned at once, so the node
+lies on both paths; its path's vertices, individualized in the same order,
+take one label in both leaves, and the automorphism, which maps one leaf's
+vertex order onto the other's, fixes them. Refinement commutes with
+relabeling, so such an automorphism maps the node's partition, and each
+cell, onto itself; an orbit that meets the cell being individualized
+therefore lies inside it, and a union-find over that cell alone finds it.
+Each automorphism is kept with its links, the least vertex of each of its
+cycles paired with the cycle's other vertices: a cycle lies inside the cell
+or outside it, and joining its links joins the cycle, so a join costs the
+vertices the automorphism moves, not n. A child in the orbit of a sibling
+explored before it is skipped. When a leaf equals the best one, the rest of
+its branch at the depth where its path parts from the best leaf's path is
+skipped too: the automorphism carries the best leaf's branch, explored in
+full, onto that branch. As refinement commutes with relabeling, a skipped
+subtree is the image of an explored one under an automorphism and holds the
+same leaf strings, each met later in the search order than its preimage.
+The pruned search therefore returns the same best string and the same first
+leaf reaching it, hence the same edges and relabeling, as the search
+without pruning.
 
 Isomorphism takes one canonical form in full and searches the other graph
 in target mode, with the first graph's string T as the target, after McKay
@@ -387,16 +392,7 @@ def _canonical_connected(
         and `fixing` holds the recorded automorphisms that fix every vertex
         of `path` but the last. Returns None, or, after a leaf equal to the
         best one, the depth where the two leaves' paths part, to resume
-        there; -1 ends the search.
-
-        Each automorphism recorded below this node fixes every vertex of
-        `path`, so the loop takes each one into `fixing` unchecked. It was
-        recorded at a leaf equal to the best, and every node deeper than
-        the depth where the two leaves' paths part returned at once; so a
-        node whose loop goes on lies on both paths. Individualizing the same
-        vertices in the same order gives each of them one label in both
-        leaves, and the automorphism, which maps the best leaf's vertex
-        order onto the other's, fixes them."""
+        there; -1 ends the search."""
         if target is not None and prefix < target[: len(prefix)]:
             return -1
         if best["bits"] is not None and prefix > best["bits"][: len(prefix)]:

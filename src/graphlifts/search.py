@@ -43,9 +43,7 @@ class BudgetExceeded(RuntimeError):
     """The signature space is larger than the configured enumeration budget."""
 
 
-# The closed walks whose net voltages the conditions compare. Condition 1
-# asks for a trivial net voltage around the 4-cycle of G; condition 2
-# compares alpha (a triangle of G) with beta and gamma (triangles of H).
+# The closed walks whose net voltages the conditions compare.
 CONDITION1_CYCLE = (2, 4, 5, 3)
 ALPHA_CYCLE = (2, 3, 4)
 BETA_CYCLE = (3, 5, 6)
@@ -345,22 +343,14 @@ def rank_blocks(
     rows, in rank_g order, where rows is the G class's one shared list of
     (rank_h, conditions, non-isomorphic) in rank_h order.
 
-    The arguments are checked before this returns. Each class gets one
-    charpoly, on its normalised representative: every H class before the
-    first block, and a G class when its first rank is reached. That G class
-    is then joined to the H classes of equal charpoly, with the fixture
-    conditions once per cospectral class pair, and its rows are kept for
-    its later ranks. Every vertex of a lift inherits the degree of its base
-    vertex, so lifts of bases with different degree sequences are never
-    isomorphic; otherwise each class in a pair that yields rows gets one
-    canonical form.
+    The arguments are checked before this returns. Each G class is joined
+    on its first rank (ClassJoin.pairs) and its rows kept for later ranks.
     """
     if not isinstance(gr, AbelianGroup):
         raise NonAbelianSignature("search requires an abelian group")
     if not cospectral(g, h):
         raise WrongBaseGraph("search requires cospectral base graphs")
-    on_fixture = g == fixtures.BASE_G and h == fixtures.BASE_H
-    if options.filter_by_theorem and not on_fixture:
+    if options.filter_by_theorem and (g, h) != (fixtures.BASE_G, fixtures.BASE_H):
         raise WrongBaseGraph(
             "filter_by_theorem is only available on the bundled base pair"
         )
@@ -371,45 +361,69 @@ def rank_blocks(
             f"{total_g} signatures on the G side and {total_h} on the H side; "
             f"the budget is {options.budget} per side"
         )
-    return _blocks(g, h, gr, options.filter_by_theorem, on_fixture)
+    return _blocks(g, h, gr, options.filter_by_theorem)
 
 
-def _blocks(g: Graph, h: Graph, gr: AbelianGroup, filter_by_theorem: bool, on_fixture: bool):
-    # Up front, the H side: each class's charpoly, and the ranks of each class.
-    classes_g = SwitchingClasses(g, gr)
-    classes_h = SwitchingClasses(h, gr)
-    reps_h = [classes_h.representative(c) for c in range(classes_h.count)]
-    classes_h_by_poly: dict[tuple[int, ...], list[int]] = {}
-    for ch, rep_h in enumerate(reps_h):
-        classes_h_by_poly.setdefault(tuple(lift_charpoly(h, rep_h)), []).append(ch)
-    ranks_h: list[list[int]] = [[] for _ in range(classes_h.count)]
-    for rank_h, ch in enumerate(classes_h.class_ids()):
+class ClassJoin:
+    """The switching classes of bases g and h over Gr, joined by lift charpoly.
+
+    Each class gets one charpoly, on its normalised representative: each H
+    class on construction, a G class when pairs is asked for it, which
+    joins it to the H classes of equal charpoly with the fixture conditions.
+    A lift's vertices inherit their base vertex's degree, so lifts of bases
+    with different degree sequences are never isomorphic; otherwise each
+    class in a cospectral pair gets one canonical form. Every lift has
+    n*|Gr| vertices, so if a canonical form is refused, the first one is,
+    before search yields any row.
+    """
+
+    def __init__(self, g: Graph, h: Graph, gr: AbelianGroup):
+        self.classes_g = SwitchingClasses(g, gr)
+        self.classes_h = SwitchingClasses(h, gr)
+        self.reps_h = [self.classes_h.representative(c) for c in range(self.classes_h.count)]
+        self._classes_h_by_poly: dict[tuple[int, ...], list[int]] = {}
+        for ch, rep_h in enumerate(self.reps_h):
+            self._classes_h_by_poly.setdefault(tuple(lift_charpoly(h, rep_h)), []).append(ch)
+        self._on_fixture = (g, h) == (fixtures.BASE_G, fixtures.BASE_H)
+        self._same_degrees = degree_sequence(g) == degree_sequence(h)
+        self._forms_h: dict[int, tuple] = {}
+
+    def pairs(self, cg: int) -> tuple[tuple[int, ...], list[tuple[int, bool | None, bool]]]:
+        """G class cg's charpoly, and (class_h, conditions, non-isomorphic)
+        for each H class of the same charpoly, in class_h order."""
+        rep_g = self.classes_g.representative(cg)
+        poly = tuple(lift_charpoly(rep_g.base, rep_g))
+        form_g, pairs = None, []
+        for ch in self._classes_h_by_poly.get(poly, ()):
+            rep_h, non_iso = self.reps_h[ch], True
+            if self._same_degrees:
+                if form_g is None:
+                    form_g = canonical_form(build_lift(rep_g.base, rep_g)).edges
+                if ch not in self._forms_h:
+                    self._forms_h[ch] = canonical_form(build_lift(rep_h.base, rep_h)).edges
+                non_iso = form_g != self._forms_h[ch]
+            pairs.append((ch, conditions_hold(rep_g, rep_h) if self._on_fixture else None, non_iso))
+        return poly, pairs
+
+
+def _blocks(g: Graph, h: Graph, gr: AbelianGroup, filter_by_theorem: bool):
+    join = ClassJoin(g, h, gr)
+    ranks_h: list[list[int]] = [[] for _ in range(join.classes_h.count)]
+    for rank_h, ch in enumerate(join.classes_h.class_ids()):
         ranks_h[ch].append(rank_h)
-    same_degrees = degree_sequence(g) == degree_sequence(h)
-    forms_h: dict[int, tuple] = {}
     blocks: dict[int, tuple] = {}  # G class -> (charpoly, rows)
-
-    # Each G class is joined on its first rank. Every lift has n*|Gr|
-    # vertices, so if a canonical form is refused, the first one is, before
-    # any row. An H rank lies in one class, so one G class's rows have
-    # distinct rank_h and sorting them compares rank_h only.
-    for rank_g, cg in enumerate(classes_g.class_ids()):
+    # One G class's rows have distinct rank_h, so sorting compares rank_h only;
+    # the filter is on the bundled pair only, whose lifts get no canonical form.
+    for rank_g, cg in enumerate(join.classes_g.class_ids()):
         block = blocks.get(cg)
         if block is None:
-            rep_g = classes_g.representative(cg)
-            poly = tuple(lift_charpoly(g, rep_g))
-            form_g, rows = None, []
-            for ch in classes_h_by_poly.get(poly, ()):
-                cond = conditions_hold(rep_g, reps_h[ch]) if on_fixture else None
-                if filter_by_theorem and not cond:
-                    continue
-                if same_degrees and form_g is None:
-                    form_g = canonical_form(build_lift(g, rep_g)).edges
-                if same_degrees and ch not in forms_h:
-                    forms_h[ch] = canonical_form(build_lift(h, reps_h[ch])).edges
-                non_iso = not same_degrees or form_g != forms_h[ch]
-                rows.extend((rank_h, cond, non_iso) for rank_h in ranks_h[ch])
-            rows.sort()
+            poly, pairs = join.pairs(cg)
+            rows = sorted(
+                (rank_h, cond, non_iso)
+                for ch, cond, non_iso in pairs
+                if cond or not filter_by_theorem
+                for rank_h in ranks_h[ch]
+            )
             block = blocks[cg] = poly, rows
         if block[1]:
             yield rank_g, cg, *block

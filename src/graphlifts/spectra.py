@@ -1,20 +1,10 @@
 """Exact spectra: characteristic polynomials, cospectrality, and the
 character decomposition of lifted graphs.
 
-Cospectrality is decided only by exact integer polynomial equality. The
-charpoly of an abelian lift comes from closed walks at one vertex per fibre,
-all walked together with one packed integer per vertex (lift_charpoly). It
-takes the base and the signature, as build_lift does, and walks the lift
-that build_lift makes, whose fibre translations are automorphisms by
-construction. Any other graph's charpoly comes from the Berkowitz
-recursion. The decomposition check multiplies, over all characters chi of
-an abelian voltage group, the charpoly of the matrix whose (i, j) entry is
-chi of the edge voltage (inverse on the mirrored entry), and compares the
-product with the lift's charpoly. That product has integer coefficients of
-bounded size, so it is computed exactly as the image of the character
-values under a ring homomorphism Z[zeta_K] -> Z/MZ, with Berkowitz
-charpolys mod M, one per pair of conjugate characters (see
-verify_decomposition).
+Cospectrality is decided only by exact integer polynomial equality. An
+abelian lift's charpoly comes from closed walks (lift_charpoly), any other
+graph's from the Berkowitz recursion, and the character product from
+Berkowitz mod M (verify_decomposition).
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import importlib
 import os
 import re
 import shlex
@@ -10,7 +11,7 @@ from graphlifts import cli, fixtures
 from graphlifts.algebra import AbelianGroup, parse_group
 from graphlifts.graphs import emit_edge_list
 from graphlifts.lifts import emit_signature
-from graphlifts.search import conditions_hold, signature_count, signature_from_rank
+from graphlifts.search import SwitchingClasses, conditions_hold, signature_count, signature_from_rank
 from graphlifts.spectra import lift_charpoly
 
 from oracles import ROOT, load_condition_sweep
@@ -39,6 +40,7 @@ def _run_script(script, args):
         ("decomposition_trials.py", ["--trials", "-3"], 2),
         ("condition_sweep.py", ["--group", "Z21"], 2),
         ("condition_sweep.py", ["--group", "Z1000000"], 2),
+        ("decomposition_trials.py", ["--max-n", "8"], 2),
     ],
 )
 def test_script_runs_clean(script, args, code):
@@ -98,6 +100,36 @@ def test_class_sweep_matches_per_signature_brute_force_over_z2():
     assert len(passing_pairs) * weight == passing
     assert len(cospectral) * weight == cospectral_count
     assert len(passing_pairs - cospectral) * weight == violations
+
+
+def test_class_sweep_takes_one_charpoly_per_class(monkeypatch):
+    """Over Z3 the sweep reads the class join: one lift charpoly for each of
+    the 9 classes a side, and the sets of an all-pairs join of the
+    representatives' charpolys."""
+    module = importlib.import_module("graphlifts.search")
+    calls = []
+
+    def counting(base, s):
+        calls.append(base)
+        return lift_charpoly(base, s)
+
+    monkeypatch.setattr(module, "lift_charpoly", counting)
+    gr = AbelianGroup((3,))
+    shape_g, shape_h, cospectral, passing = load_condition_sweep().sweep_class_pairs(gr)
+    assert len(calls) == 18 and calls.count(fixtures.BASE_G) == 9
+    assert shape_g == shape_h == (9, 243)
+    reps_g, reps_h = (
+        [classes.representative(c) for c in range(classes.count)]
+        for classes in (SwitchingClasses(base, gr) for base in (fixtures.BASE_G, fixtures.BASE_H))
+    )
+    polys_h = [lift_charpoly(fixtures.BASE_H, sh) for sh in reps_h]
+    pairs = [
+        (cg, ch, lift_charpoly(fixtures.BASE_G, sg) == ph, conditions_hold(sg, sh))
+        for cg, sg in enumerate(reps_g)
+        for ch, (sh, ph) in enumerate(zip(reps_h, polys_h))
+    ]
+    assert cospectral == {(cg, ch) for cg, ch, cosp, _ in pairs if cosp}
+    assert passing == {(cg, ch) for cg, ch, _, cond in pairs if cond}
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ from graphlifts.isomorphism import are_isomorphic, canonical_form, relabeled
 from graphlifts.lifts import NonAbelianSignature, Signature, build_lift, make_signature
 from graphlifts.search import (
     BudgetExceeded,
+    ClassJoin,
     Condition1Violated,
     SearchOptions,
     SwitchingClasses,
@@ -566,6 +567,36 @@ def test_search_computes_one_canonical_form_per_paired_class(monkeypatch):
     calls.clear()
     assert search(fixtures.BASE_G, fixtures.BASE_H, Z2)
     assert calls == []
+
+
+K4_MINUS_EDGE = from_edge_list(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
+
+
+@pytest.mark.parametrize(
+    "g, h, gr",
+    [
+        *((fixtures.BASE_G, fixtures.BASE_H, AbelianGroup(orders)) for orders in [(2,), (3,), (4,), (2, 2)]),
+        (K4_MINUS_EDGE, relabeled(K4_MINUS_EDGE, (3, 1, 4, 2)), Z3),
+    ],
+    ids=["Z2", "Z3", "Z4", "Z2xZ2", "K4-e-Z3"],
+)
+def test_class_join_pairs_each_g_class_with_the_h_classes_of_its_charpoly(g, h, gr):
+    # checked against Berkowitz on each built lift, the conditions on the
+    # representatives and a full isomorphism test, not the walk
+    on_fixture = g == fixtures.BASE_G
+    join = ClassJoin(g, h, gr)
+    classes_g, classes_h = SwitchingClasses(g, gr), SwitchingClasses(h, gr)
+    reps_h = [classes_h.representative(c) for c in range(classes_h.count)]
+    polys_h = [tuple(charpoly(build_lift(h, rep))) for rep in reps_h]
+    for cg in range(classes_g.count):
+        rep_g = classes_g.representative(cg)
+        lift_g = build_lift(g, rep_g)
+        poly, pairs = join.pairs(cg)
+        assert poly == tuple(charpoly(lift_g))
+        assert [ch for ch, _, _ in pairs] == [ch for ch, p in enumerate(polys_h) if p == poly]
+        for ch, cond, non_iso in pairs:
+            assert cond == (conditions_hold(rep_g, reps_h[ch]) if on_fixture else None)
+            assert non_iso == (not are_isomorphic(lift_g, build_lift(h, reps_h[ch]))[0])
 
 
 @pytest.mark.parametrize("gr, first, total", [(Z2, 5, 8), (Z3, 10, 18)], ids=["Z2", "Z3"])
