@@ -329,10 +329,9 @@ class SystemExit2(Exception):
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on the first call and shared after it.
 
-    --format, --jobs and --budget are accepted before or after the
-    subcommand. One parent parser declares them with suppressed defaults, so
-    a subcommand's parser leaves alone a value given before the subcommand;
-    main supplies the defaults.
+    One parent parser declares --format, --jobs and --budget with suppressed
+    defaults, so a subcommand's parser leaves alone a value given before the
+    subcommand; main supplies the defaults.
     """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(

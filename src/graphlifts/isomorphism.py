@@ -16,28 +16,20 @@ the keys compare alike: more copies of a smaller label sort first, and a
 key that runs out meets n and sorts after. Members with no moved neighbour
 have the key (n,), so they form the last piece and never move. Pieces never
 come in first-seen order, so refinement is relabeling-invariant. A round
-visits only the edges of moved vertices: it gathers each hit vertex's
-moved-neighbour labels, groups the hit vertices by cell, and swaps each
-piece but the last into the front of what is left of its cell, through
-`pos`, so the members with no moved neighbour keep the cell's label without
-being visited. The order of the vertices inside a cell of more than one
-vertex reaches no output: the search sorts a cell's members before it
-individualizes them, prefix bits read only singleton cells, and a leaf's
-labels are positions. The backtracking individualizes one vertex of the
-first non-singleton cell at a time and keeps the lexicographically smallest
-adjacency bit-string over all discrete partitions reached, reading the
-upper triangle in column-major order so that a prefix of placed vertices
-determines a prefix of the string. Ties inside a cell are explored
-smallest-partial-string first, and branches whose partial string already
-exceeds the best known are pruned. A node computes each child's columns,
-those of the newly placed vertices, once, when it sorts its children:
-siblings share the node's partial string, so their columns order them as
-their whole partial strings would. A child's partial string, the node's
-followed by its columns, is built only when the child is explored; at a
-leaf every vertex is placed, the partial string is the whole string, and
-the labels are the positions. Strings are `bytes` of one 0 or 1 each, which
-order as the tuples of those bits would, so comparing and slicing them run
-as single memory compares and copies.
+visits only the edges of moved vertices. The order of the vertices inside a
+cell of more than one vertex reaches no output: the search sorts a cell's
+members before it individualizes them, prefix bits read only singleton
+cells, and a leaf's labels are positions. The backtracking individualizes
+one vertex of the first non-singleton cell at a time and keeps the
+lexicographically smallest adjacency bit-string over all discrete
+partitions reached, reading the upper triangle in column-major order so
+that a prefix of placed vertices determines a prefix of the string. Ties
+inside a cell are explored smallest-partial-string first, and branches
+whose partial string already exceeds the best known are pruned. Siblings
+share the node's partial string, so the columns of their newly placed
+vertices order them as their whole partial strings would. Strings are
+`bytes` of one 0 or 1 each, which order as the tuples of those bits would,
+so comparing and slicing them run as single memory compares and copies.
 
 Two leaves with equal strings give an automorphism: the permutation that
 carries one leaf's vertex order onto the other's. The search records these
@@ -86,15 +78,12 @@ every node whose prefix matches T's.
 Every graph is canonicalized one connected component at a time, in full or
 in target mode; lifts are often disjoint unions of isomorphic copies, and
 per-component search keeps those out of the factorial worst case. A
-component is searched on its slice of the graph's neighbour lists,
-renumbered by position, which keeps them sorted, and returns its labeling
-and the leaf string it reached, its own canonical string. Components are
+component's leaf string is its own canonical string. Components are
 concatenated by (vertex count, sorted canonical edges), an invariant order,
-each offset past those before it, so the edges come out sorted. A graph
-with no vertices has no components and the empty form. In target mode each
-component's target is the least string of the first graph's components of
-its vertex count, and a component of a count they lack means the graphs are
-not isomorphic.
+each offset past those before it, so the edges come out sorted. In target
+mode each component's target is the least string of the first graph's
+components of its vertex count, and a component of a count they lack means
+the graphs are not isomorphic.
 
 Graphs above the vertex ceiling are refused. A node holds its children's
 partitions while it explores them, so a path holds at most n of them per
@@ -319,7 +308,6 @@ def _canonical(
     for n, edges, comp, labels, _ in pieces:
         for v, label in zip(comp, labels):
             relabeling[v] = offset + label
-        # the offsets increase, so the concatenation stays sorted
         all_edges.extend((offset + a, offset + b) for a, b in edges)
         offset += n
     strings = [(n, bits) for n, _, _, _, bits in pieces]
@@ -374,9 +362,7 @@ def _canonical_connected(
         # complete graph: every ordering yields the same all-ones string
         return list(range(n)), b"\x01" * (n * (n - 1) // 2)
     best: dict = {"bits": None, "labels": None, "path": None}
-    # each automorphism maps the best leaf's vertex order onto the order of a
-    # later leaf with the same string: (gamma, its _links), where gamma[v] is
-    # the image of vertex v
+    # (gamma, its _links) per recorded automorphism; gamma[v] is v's image
     automorphisms: list[tuple[list[int], list[tuple[int, int]]]] = []
 
     def search(
@@ -412,9 +398,7 @@ def _canonical_connected(
                     common += 1
                 return common
             return None
-        # Members of one orbit root images of one subtree and share their
-        # prefix bits, so the least of them sorts first and only it is
-        # individualized; orbits grow as siblings find automorphisms.
+        # one member per orbit of the automorphisms that fix the path
         if path:
             fixing = [aut for aut in fixing if aut[0][path[-1]] == path[-1]]
         label, _, order, _ = cells
@@ -422,8 +406,6 @@ def _canonical_connected(
         rep = {v: v for v in cell}
         _join(rep, chain.from_iterable(links for _, links in fixing))
         members = sorted(v for v in cell if rep[v] == v)
-        # siblings share the node's prefix, so they sort by the columns they
-        # add, and each keeps only those
         children = []
         for v in members:
             child = _individualize(adj, cells, v)
@@ -446,7 +428,6 @@ def _canonical_connected(
         return None
 
     root = _root(adj)
-    # the search ends early at a leaf equal to the target or at a prefix below it
     if search(root, [], *_prefix_bits(adj, root), []) == -1 and best["bits"] != target:
         return None
     return best["labels"], best["bits"]
@@ -456,11 +437,9 @@ def are_isomorphic(g: Graph, h: Graph) -> tuple[bool, tuple[int, ...] | None]:
     """Decide isomorphism; on success also return the certifying bijection,
     as a tuple whose (v - 1)-th entry is the image in h of vertex v of g.
 
-    g's canonical form is computed in full; h is searched in target mode,
-    each component against the least of g's component strings of its vertex
-    count, until a leaf meets it or a smaller prefix proves that none can.
-    The verdict and the bijection are those of comparing the two full
-    canonical forms. The bijection is validated before being returned: g
+    g's canonical form is computed in full and h is searched in target mode,
+    as the module docstring gives, with the verdict and bijection of two
+    full canonical forms. The bijection is validated before being returned: g
     relabeled by it must equal h, edge for edge.
     """
     for graph in (g, h):

@@ -40,7 +40,8 @@ class Condition1Violated(ValueError):
 
 
 class BudgetExceeded(RuntimeError):
-    """The signature space is larger than the configured enumeration budget."""
+    """The enumeration budget is below 1, which every signature space exceeds,
+    or the signature space is larger than it."""
 
 
 # The closed walks whose net voltages the conditions compare.
@@ -354,6 +355,8 @@ def rank_blocks(
         raise WrongBaseGraph(
             "filter_by_theorem is only available on the bundled base pair"
         )
+    if options.budget < 1:
+        raise BudgetExceeded(f"the budget must be at least 1 signature per side, got {options.budget}")
     total_g = signature_count(g, gr)
     total_h = signature_count(h, gr)
     if max(total_g, total_h) > options.budget:

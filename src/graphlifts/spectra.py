@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
+from operator import add, itemgetter, mul, rshift
 
 from .algebra import (
     AbelianGroup,
@@ -54,31 +54,50 @@ def lift_charpoly(base: Graph, s: Signature) -> list[int]:
     next, and p_k is |Gr| times the sum of field i at s_i. Newton's
     identities k*c_k = -sum_{j=1..k} p_j*c_(k-j) turn p_1..p_N into the
     coefficient c_k of t^(N-k), each division exact.
+
+    A step runs no Python loop per vertex. The walked vertices are numbered
+    by degree, highest first, so those with a t-th neighbour form a prefix,
+    and one itemgetter per slot t gathers their t-th neighbours' integers:
+    slot 0's gather starts the step, each later one is added to its prefix,
+    and the degree-0 vertices, isolated starts, are a tail of zeros. An
+    itemgetter over one index returns the bare item, not a 1-tuple, so a
+    slot one vertex holds gathers a one-item slice. An edgeless lift returns
+    t^N at once; any other has two starts or more, which gather as a tuple.
     """
     if not s.is_abelian():
         raise NonAbelianSignature("lift_charpoly requires an abelian group")
     lift = build_lift(base, s)
     d, size = s.group.order(), lift.n
+    if not lift.edges:
+        return [0] * size + [1]
     adj = neighbor_lists(lift)
-    # a walk from a start stays in its component; number the union of the
-    # starts' components from 0, the starts first
-    comp = list(range(0, size, d))
-    local = {s: i for i, s in enumerate(comp)}
+    starts = range(0, size, d)
+    comp, seen = list(starts), set(starts)
     for u in comp:
         for v in adj[u]:
-            if v not in local:
-                local[v] = len(comp)
+            if v not in seen:
+                seen.add(v)
                 comp.append(v)
-    rows = [[local[v] for v in adj[u]] for u in comp]
-    width = size * max(map(len, adj), default=0).bit_length() + 1
+    comp.sort(key=lambda v: len(adj[v]), reverse=True)
+    local = {v: i for i, v in enumerate(comp)}
+    max_degree = len(adj[comp[0]])
+    slots = [[local[adj[u][t]] for u in comp if len(adj[u]) > t] for t in range(max_degree)]
+    gathers = [(itemgetter(*ix) if ix[1:] else itemgetter(slice(ix[0], ix[0] + 1)), len(ix)) for ix in slots]
+    (first, held), *rest = gathers
+    tail = [0] * (len(comp) - held)
+    # a list, not map(): a tuple resized from an iterator would grow CPython's tuple free list
+    at_starts = itemgetter(*[local[u] for u in starts])
+    width = size * max_degree.bit_length() + 1
     mask = (1 << width) - 1
-    shifts = range(0, width * (size // d), width)
-    walk = [1 << shift for shift in shifts] + [0] * (len(comp) - len(shifts))
+    shifts = range(0, width * len(starts), width)
+    walk = [0 if v % d else 1 << (v // d * width) for v in comp]
     walks_at_first = [0]
     for _ in range(size):
-        at = walk.__getitem__
-        walk = [sum(map(at, nbrs)) for nbrs in rows]
-        walks_at_first.append(sum((w >> shift) & mask for w, shift in zip(walk, shifts)))
+        step = [*first(walk), *tail]
+        for gather, length in rest:
+            step[:length] = map(add, step, gather(walk))
+        walk = step
+        walks_at_first.append(sum(map(mask.__and__, map(rshift, at_starts(walk), shifts))))
     coeffs = [1]
     for k in range(1, size + 1):
         c, rem = divmod(-d * sum(map(mul, walks_at_first[1 : k + 1], reversed(coeffs))), k)

@@ -275,6 +275,66 @@ def test_lift_charpoly_with_fibre_starts_sharing_a_component():
         assert lift_charpoly(cycle, s) == berkowitz_charpoly(adjacency_matrix(lift))
 
 
+def _walked_degrees(base, s):
+    """The lift, and the degrees of its vertices in the union of the
+    components of the fibres' first vertices, the part the walk visits."""
+    lift, starts = _start_components(base, s)
+    comp, adj = _components(lift), neighbor_lists(lift)
+    return lift, [len(adj[v]) for v in range(lift.n) if comp[v] in starts]
+
+
+def test_lift_charpoly_with_a_neighbour_slot_that_one_walked_vertex_holds():
+    # The star K1,3 with a path 4-5-6 hung from a leaf: only the centre has
+    # a third neighbour. Identity voltages, over any group or the trivial
+    # one, walk one copy of the base, so one walked vertex holds the third
+    # slot; so it does beside a triangle whose voltage joins its copies.
+    star = from_edge_list(6, [(1, 2), (1, 3), (1, 4), (4, 5), (5, 6)])
+    cases = [(star, make_signature(star, gr, {e: gr.identity() for e in star.edges})) for gr in LIFT_GROUPS]
+    cases.append((star, make_signature(star, AbelianGroup((1,)), {e: (0,) for e in star.edges})))
+    beside = from_edge_list(9, star.edges + ((7, 8), (8, 9), (7, 9)))
+    z3 = AbelianGroup((3,))
+    cases.append((beside, make_signature(beside, z3, {e: (int(e == (7, 8)),) for e in beside.edges})))
+    for base, s in cases:
+        lift, degrees = _walked_degrees(base, s)
+        assert degrees.count(max(degrees)) == 1, s.assignments
+        assert lift_charpoly(base, s) == berkowitz_charpoly(adjacency_matrix(lift)), s.assignments
+
+
+def test_lift_charpoly_with_isolated_starts_beside_edges():
+    # Isolated base vertices first, between and after the edges: their
+    # starts have degree 0 and sort after every walked vertex with an edge.
+    rng = random.Random(76)
+    bases = [
+        from_edge_list(5, [(2, 3), (3, 4)]),
+        from_edge_list(6, [(1, 2), (2, 3), (1, 3), (5, 6)]),
+        from_edge_list(7, [(2, 3), (3, 4), (4, 5), (2, 5), (3, 5)]),
+        from_edge_list(4, [(3, 4)]),
+    ]
+    for base in bases:
+        for gr in LIFT_GROUPS:
+            identity = make_signature(base, gr, {e: gr.identity() for e in base.edges})
+            for s in (_random_signature(base, gr, rng), identity):
+                lift, degrees = _walked_degrees(base, s)
+                assert 0 in degrees and max(degrees) > 0
+                assert lift_charpoly(base, s) == berkowitz_charpoly(adjacency_matrix(lift)), s.assignments
+
+
+def test_lift_charpoly_when_the_starts_leave_part_of_the_lift_unwalked():
+    # Voltages in a proper subgroup leave every start in a component that
+    # misses some vertices of the lift; the degrees differ, so the degree
+    # order is not the vertex order.
+    rng = random.Random(78)
+    base = from_edge_list(6, [(1, 2), (2, 3), (3, 1), (3, 4), (4, 5), (5, 6), (6, 4), (2, 5)])
+    subgroups = {(4,): [(0,), (2,)], (2, 4): [(0, 0), (1, 0), (0, 2), (1, 2)], (12,): [(0,), (3,), (6,), (9,)]}
+    for orders, subgroup in subgroups.items():
+        gr = AbelianGroup(orders)
+        for _ in range(4):
+            s = make_signature(base, gr, {e: rng.choice(subgroup) for e in base.edges})
+            lift, degrees = _walked_degrees(base, s)
+            assert len(degrees) < lift.n and len(set(degrees)) > 1
+            assert lift_charpoly(base, s) == berkowitz_charpoly(adjacency_matrix(lift)), s.assignments
+
+
 def test_lift_charpoly_on_the_densest_bases():
     # K7, the densest base of the decompose-random pool, over Z2xZ2xZ2 (56
     # vertices) and Z12 (84 vertices, walk counts up to 6^84 per field).

@@ -221,6 +221,14 @@ def test_shared_options_before_or_after_the_subcommand(demo, capsys):
     assert captured.err.count("the budget is 10 per side") == 2
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_search_refuses_a_budget_below_one(capsys, budget):
+    assert main(["search", "--fixture-pair", "--group", "Z2", "--budget", budget]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: the budget must be at least 1 signature per side, got {budget}\n"
+
+
 def test_parser_is_built_once_and_not_at_import():
     assert cli.build_parser() is cli.build_parser()
     code = "import graphlifts.cli as c; print(c.build_parser.cache_info().misses)"

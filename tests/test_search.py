@@ -322,6 +322,15 @@ def test_search_budget():
     assert search(fixtures.BASE_G, fixtures.BASE_H, Z2, SearchOptions(budget=128))
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+def test_search_refuses_a_budget_below_one_eagerly(budget):
+    # every signature space holds at least one signature, so such a budget could never pass
+    message = f"^the budget must be at least 1 signature per side, got {budget}$"
+    for entry in (rank_blocks, iter_search, search):
+        with pytest.raises(BudgetExceeded, match=message):
+            entry(fixtures.BASE_G, fixtures.BASE_H, Z2, SearchOptions(budget=budget))
+
+
 def test_iter_search_streams_the_same_rows_and_checks_arguments_eagerly():
     rows = iter_search(fixtures.BASE_G, fixtures.BASE_H, Z2)
     assert next(rows) == search(fixtures.BASE_G, fixtures.BASE_H, Z2)[0]
