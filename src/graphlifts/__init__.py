@@ -1,10 +1,4 @@
-"""Voltage lifts of graphs with exact spectral verification.
-
-The package builds lifts selected by group-valued edge signatures, computes
-characteristic polynomials over the integers, checks the character-product
-decomposition for abelian signatures, and searches signature spaces for
-cospectral non-isomorphic lift pairs.
-"""
+"""Voltage lifts of graphs with exact spectral verification."""
 
 from .algebra import (
     AbelianGroup,

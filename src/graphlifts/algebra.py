@@ -1,9 +1,5 @@
 """Finite groups and exact polynomial arithmetic.
 
-Two group kinds are supported: direct products of cyclic groups (elements are
-residue tuples) and symmetric groups (elements are one-line permutation
-tuples with 1-based images).
-
 Composition order: a*b means "apply a, then b". Both conventions appear in
 the literature; this one matches the lift rule s(i,j)*g_a = g_b read left to
 right.
@@ -329,10 +325,7 @@ def berkowitz_charpoly(matrix) -> list:
 
     The matrix is walked sparsely: non-zero entries are listed per row and
     per column, and the Krylov vector B^s*C, a dict keyed by the rows it
-    reaches, is pushed only through the trailing block's columns. Its inputs,
-    verify-mota's character matrices, charpoly and cospectral graphs and
-    verify-paper's 18-vertex S3 lifts, are mostly sparse, and there this
-    beats the dense recursion; only on dense inputs such as K100 is it slower.
+    reaches, is pushed only through the trailing block's columns.
     """
     n = len(matrix)
     for row in matrix:

@@ -4,9 +4,6 @@ Commands: lift, charpoly, cospectral, iso, verify-mota, search, verify-paper.
 Exit codes: 0 = claim verified / cospectral / isomorphic, 1 = negative
 result, 2 = usage or input error (a malformed or non-UTF-8 file included).
 All output is deterministic: identical inputs produce byte-identical stdout.
---format, --jobs and --budget are accepted before or after the subcommand;
---jobs is accepted for compatibility and has no effect. The parser is built
-on the first call of main and reused by later calls in the same process.
 """
 
 from __future__ import annotations
@@ -49,12 +46,10 @@ from .search import (
 )
 from .spectra import charpoly, cospectral, verify_decomposition
 
-# verify-mota's ceiling on the lift order n*|Gr|: at 84 vertices the costliest
-# shape measured, K42 over Z2 with every voltage 1, takes about 5 s
+# verify-mota's ceiling on the lift order n*|Gr|, timed in the README
 LIFT_CEILING = 84
 
-# charpoly's and cospectral's ceiling on a graph's vertex count: at 100 the
-# densest graph, K100, takes 3.2-7.5 s, and cospectral on two of them 8.9-9.9 s
+# charpoly's and cospectral's ceiling on a graph's vertex count, timed in the README
 CHARPOLY_CEILING = 100
 
 

@@ -1,11 +1,7 @@
 """Bundled worked example: the built-in cospectral 6-vertex base pair, the
 S3 signatures of the worked 18-vertex construction, and the two 18x18
-adjacency matrices transcribed verbatim from the original write-up of that
-example.
-
-The matrices are embedded as printed rather than regenerated, so any
-transcription quirks in the source material are detectable and reported
-instead of silently papered over.
+adjacency matrices transcribed verbatim, quirks included, from the original
+write-up of that example, so that verify-paper can report those quirks.
 """
 
 from __future__ import annotations

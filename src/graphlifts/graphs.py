@@ -1,8 +1,6 @@
 """Simple undirected graphs: construction, graph6 codec, edge-list text I/O.
 
-Vertices are labeled 1..n in every external format. Edges are stored
-canonically as ordered pairs (i, j) with i < j, which is also the domain of
-the signatures in graphlifts.lifts.
+Vertices are labeled 1..n in every external format.
 """
 
 from __future__ import annotations
@@ -127,14 +125,9 @@ _G6_BITS = str.maketrans({chr(63 + x): format(x, "06b") for x in range(64)})
 
 
 def emit_graph6(g: Graph) -> str:
-    """Canonical graph6 encoding of g.
-
-    Uses the single-byte size header for n <= 62 and the '~' three-byte
-    header for larger n (supported up to 258047). The body is one string of
-    the column-major upper triangle's bits, as parse_graph6 reads it: edge
-    (i, j) is bit (j - 1)(j - 2)/2 + i - 1, and the string is padded with
-    zeros to whole bytes of six bits.
-    """
+    """Canonical graph6 encoding of g: the size header, then the column-major
+    upper triangle's bits, edge (i, j) at bit (j - 1)(j - 2)/2 + i - 1 as
+    parse_graph6 reads it, zero-padded to whole bytes of six bits."""
     n = g.n
     if n <= 62:
         head = chr(n + 63)
@@ -151,13 +144,11 @@ def emit_graph6(g: Graph) -> str:
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode a graph6 string; raises MalformedGraph6 with a byte offset.
-
-    The optional leading '>>graph6<<' marker used by .g6 files is accepted.
-    The body is spelled out as one string of its bits, six per byte, and
-    only its set bits are visited: bit k of the column-major upper triangle
-    lies in column j, the largest with j(j - 1)/2 <= k, and row
-    k - j(j - 1)/2 (both 0-based).
+    """Decode a graph6 string, with or without the '>>graph6<<' marker;
+    raises MalformedGraph6 with a byte offset. The body is spelled out as
+    one string of its bits, six per byte, and only its set bits are visited:
+    bit k of the column-major upper triangle lies in column j, the largest
+    with j(j - 1)/2 <= k, and row k - j(j - 1)/2 (both 0-based).
     """
     base = 0
     if text.startswith(_G6_HEADER):
@@ -213,8 +204,6 @@ def parse_edge_list(text: str) -> Graph:
     """Parse edge-list text: header line 'n m', then m lines 'i j', 1-based,
     one line per edge. An edge listed twice, in either orientation, raises
     MalformedEdgeList naming the line that repeats it.
-
-    '#' starts a comment; blank lines are ignored.
     """
     header: tuple[int, int] | None = None
     pairs: list[tuple[int, int]] = []

@@ -223,12 +223,8 @@ def _prefix_bits(adj: list[list[int]], cells: Cells, placed: int = 0) -> tuple[b
     """Column-major upper-triangle bits among the leading singleton cells,
     one byte each, from the column of position `placed` on, and the number
     of those cells: n if the partition is discrete, else the first position
-    of a cell of more than one vertex.
-
-    The first `placed` positions must be singleton cells; the bits of their
-    columns are those of any partition that `cells` refines, as
-    _individualize does, so a child's bits are its parent's followed by the
-    columns of the newly placed vertices."""
+    of a cell of more than one vertex. The first `placed` positions must be
+    singleton cells, whose columns every refinement of `cells` shares."""
     label, _, order, pos = cells
     bits = bytearray()
     n = len(order)
@@ -436,12 +432,8 @@ def _canonical_connected(
 def are_isomorphic(g: Graph, h: Graph) -> tuple[bool, tuple[int, ...] | None]:
     """Decide isomorphism; on success also return the certifying bijection,
     as a tuple whose (v - 1)-th entry is the image in h of vertex v of g.
-
-    g's canonical form is computed in full and h is searched in target mode,
-    as the module docstring gives, with the verdict and bijection of two
-    full canonical forms. The bijection is validated before being returned: g
-    relabeled by it must equal h, edge for edge.
-    """
+    h is searched in target mode against g's canonical form, as the module
+    docstring gives. The bijection is validated: g relabeled by it is h."""
     for graph in (g, h):
         if graph.n > SIZE_CEILING:
             raise TooLarge(f"isomorphism supports at most {SIZE_CEILING} vertices, got {graph.n}")

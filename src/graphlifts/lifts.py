@@ -1,14 +1,9 @@
 """Voltage signatures and explicit construction of lifted graphs.
 
-A signature assigns a group element to every canonical edge (i, j), i < j, of
-a base graph. The lift places a fiber of d vertices over each base vertex
-(d = group order for abelian voltages acting on themselves, d = k for
-symmetric-group voltages acting naturally on {1..k}) and replaces each base
-edge with the perfect matching selected by its voltage: (i, a) is joined to
-(j, b) exactly when the voltage maps fiber position a to fiber position b.
-Traversing an edge against its stored orientation applies the inverse
-element. The action, with the order of the positions in a fiber, is
-defined once, in algebra.fiber_action.
+The lift places a fiber of d vertices over each base vertex and replaces
+each base edge (i, j), i < j, with the perfect matching selected by its
+voltage: (i, a) is joined to (j, b) exactly when the voltage maps fiber
+position a to fiber position b, in the action algebra.fiber_action defines.
 """
 
 from __future__ import annotations
@@ -111,8 +106,7 @@ def parse_signature(text: str, base: Graph) -> Signature:
 
     Format: first non-comment line is 'group <spec>' (e.g. 'group Z2',
     'group S3'); each following line is 'i j : <element>' with i < j,
-    1-based; '#' starts a comment. Every base edge must appear exactly once.
-    Error messages name the offending line.
+    1-based; '#' starts a comment. Errors name the offending line.
     """
     group: GroupSpec | None = None
     assignments: dict = {}
@@ -159,13 +153,8 @@ def emit_signature(s: Signature) -> str:
 
 
 def build_lift(base: Graph, s: Signature) -> Graph:
-    """Construct the lifted graph selected by signature s.
-
-    Lift vertex (i, a) gets index (i - 1) * d + a + 1 (vertex-major, 0-based
-    fiber position a). The output has base.n * d vertices and |edges| * d
-    edges, and construction is deterministic: identical inputs produce
-    identical edge tuples.
-    """
+    """Construct the lifted graph selected by signature s: lift vertex
+    (i, a), at 0-based fiber position a, gets index (i - 1) * d + a + 1."""
     if s.base != base:
         raise InvalidSignature("signature was built for a different base graph")
     if set(s.assignments) != set(base.edges):

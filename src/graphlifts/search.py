@@ -4,8 +4,7 @@ signature generator, and search for cospectral lift pairs.
 The two conditions are implemented as exact group-element equations rather
 than per-character complex equations: the underlying identity must hold for
 every character, and by character orthogonality that is equivalent to a
-multiset equality of group elements, which is exact and fast to test. Each
-group element involved is the net voltage around a cycle of a base graph.
+multiset equality of group elements, which is exact and fast to test.
 
 Switching a signature by vertex potentials f, s'(i, j) = f(i) s(i, j) f(j)^-1,
 relabels every fiber of its lift and keeps every net voltage around a closed
@@ -19,6 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator
 
 from . import fixtures
@@ -222,9 +222,7 @@ class SwitchingClasses:
         self.base = base
         self.group = gr
         self.elements = gr.elements()
-        # Tables of element indices; index 0 is the identity. _mul[a][b] is
-        # the index of a*b: row a is the fiber action of elements[a], which
-        # takes b to b*a = a*b.
+        # element indices, the identity 0: _mul[a][b] = a*b, a's fiber action
         self._mul = [fiber_action(gr, a) for a in self.elements]
         self._neg = [row.index(0) for row in self._mul]
         position = {edge: e for e, edge in enumerate(base.edges)}
@@ -250,6 +248,57 @@ class SwitchingClasses:
             (e, i - 1, j - 1) for e, (i, j) in enumerate(base.edges) if e not in in_tree
         ]
         self.count = len(self.elements) ** len(self._cotree)
+        self.walk_table = self._closed_walks(adj)
+
+    def _closed_walks(self, adj) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """The short-walk table: for each crossing vector c, the number of
+        closed walks of each length 1..n that cross each cotree edge e, i < j,
+        c_e times more from i to j than back, mod the exponent K. On a class
+        representative, the identity on the forest, such a walk's net voltage
+        is x^c, the product of x_e^c_e over the class key x, which c mod K
+        fixes. One dynamic programme over (vertex, c) walks every start at
+        once: field s of a count, as in lift_charpoly, counts the walks from s."""
+        n, k = self.base.n, self.group.exponent()
+        crossing = {}  # (u, v) -> (cotree position, sign) of a cotree edge
+        for p, (_, i, j) in enumerate(self._cotree):
+            crossing[i, j], crossing[j, i] = (p, 1), (p, -1)
+        width = n * max(map(len, adj), default=0).bit_length() + 1
+        walks = [{(0,) * len(self._cotree): 1 << (v * width)} for v in range(n)]
+        table: dict[tuple[int, ...], list[int]] = {}
+        for length in range(n):
+            step: list[dict[tuple[int, ...], int]] = [{} for _ in range(n)]
+            for u, held in enumerate(walks):
+                for v in adj[u]:
+                    p, sign = crossing.get((u, v), (-1, 0))
+                    into = step[v]
+                    for c, count in held.items():
+                        to = c if p < 0 else c[:p] + ((c[p] + sign) % k,) + c[p + 1 :]
+                        into[to] = into.get(to, 0) + count
+            walks = step
+            for s, held in enumerate(walks):
+                for c, count in held.items():
+                    if closed := count >> (s * width) & ((1 << width) - 1):
+                        table.setdefault(c, [0] * n)[length] += closed
+        return {c: tuple(counts) for c, counts in table.items()}
+
+    def walk_keys(self) -> list[tuple[int, ...]]:
+        """(W_1, ..., W_n) of every class, by class number: the closed walks of
+        each length whose net voltage x^c is the identity. A lift walk from
+        (i, a) over a closed base walk of net voltage g ends at (i, a*g), so
+        |Gr| * W_k is tr(A^k) of the class's lift. Each c's x^c is expanded
+        over all keys a cotree edge at a time, as in class_ids, and its counts,
+        packed into one integer, are added to the keys it takes to the identity."""
+        mul, k = self._mul, self.group.exponent()
+        powers = [list(accumulate([row] * (k - 1), lambda a, r: r[a], initial=0)) for row in mul]
+        width = max(map(sum, zip(*self.walk_table.values())), default=0).bit_length() + 1
+        packed = [0] * self.count
+        for c, counts in self.walk_table.items():
+            values = [0]
+            for e in c:
+                values = [mul[v][power[e]] for v in values for power in powers]
+            bits = sum(m << (i * width) for i, m in enumerate(counts))
+            packed = [key if v else key + bits for key, v in zip(packed, values)]
+        return [tuple(key >> (i * width) & ((1 << width) - 1) for i in range(self.base.n)) for key in packed]
 
     def _class_of_digits(self, digits: list[int]) -> int:
         mul, neg = self._mul, self._neg
@@ -295,8 +344,7 @@ class SwitchingClasses:
         return self._class_of_digits([self.group.index(s.assignments[e]) for e in self.base.edges])
 
     def representative(self, cid: int) -> Signature:
-        """The normalised signature of class cid: the identity on the forest
-        and the class key on the cotree."""
+        """The normalised signature of class cid."""
         assignments = dict.fromkeys(self.base.edges, self.group.identity())
         cotree_digits = _digits(cid, len(self.elements), len(self._cotree))
         for (e, _, _), d in zip(self._cotree, cotree_digits):
@@ -307,8 +355,7 @@ class SwitchingClasses:
 def search(
     g: Graph, h: Graph, gr: AbelianGroup, options: SearchOptions = SearchOptions()
 ) -> list[SearchResult]:
-    """Every pair of signatures on the two bases whose lifts are cospectral,
-    in lexicographic (rank_g, rank_h) order: the rows of iter_search."""
+    """The rows of iter_search, as a list."""
     return list(iter_search(g, h, gr, options))
 
 
@@ -316,12 +363,9 @@ def iter_search(
     g: Graph, h: Graph, gr: AbelianGroup, options: SearchOptions = SearchOptions()
 ) -> Iterator[SearchResult]:
     """Yield every pair of signatures on the two bases whose lifts are
-    cospectral, in lexicographic (rank_g, rank_h) order, as it is found.
-
-    The arguments are checked before this returns. The rows are those of
-    rank_blocks, one class join, expanded to one SearchResult each; H
-    signatures are built on their first row.
-    """
+    cospectral, in (rank_g, rank_h) order: the rows of rank_blocks, which
+    checks the arguments before this returns, one SearchResult each; H
+    signatures are built on their first row."""
     return _results(g, h, gr, rank_blocks(g, h, gr, options))
 
 
@@ -342,11 +386,8 @@ def rank_blocks(
     """Yield the rows of iter_search grouped by G rank, without building a
     signature: (rank_g, class_g, charpoly, rows) for each G rank that has
     rows, in rank_g order, where rows is the G class's one shared list of
-    (rank_h, conditions, non-isomorphic) in rank_h order.
-
-    The arguments are checked before this returns. Each G class is joined
-    on its first rank (ClassJoin.pairs) and its rows kept for later ranks.
-    """
+    (rank_h, conditions, non-isomorphic) in rank_h order. The arguments are
+    checked before this returns; each G class is joined on its first rank."""
     if not isinstance(gr, AbelianGroup):
         raise NonAbelianSignature("search requires an abelian group")
     if not cospectral(g, h):
@@ -370,35 +411,43 @@ def rank_blocks(
 class ClassJoin:
     """The switching classes of bases g and h over Gr, joined by lift charpoly.
 
-    Each class gets one charpoly, on its normalised representative: each H
-    class on construction, a G class when pairs is asked for it, which
-    joins it to the H classes of equal charpoly with the fixture conditions.
-    A lift's vertices inherit their base vertex's degree, so lifts of bases
-    with different degree sequences are never isomorphic; otherwise each
-    class in a cospectral pair gets one canonical form. Every lift has
-    n*|Gr| vertices, so if a canonical form is refused, the first one is,
-    before search yields any row.
+    Equal charpolys give equal power sums tr(A^k) = |Gr| * W_k, so classes
+    of different walk keys (SwitchingClasses.walk_keys) are never
+    cospectral. Only a class whose key the other side shares gets a
+    charpoly, on its representative: a G class when pairs is asked for it,
+    an H class when a G class of its key first is. A lift's vertices inherit
+    their base vertex's degree, so lifts of bases with different degree
+    sequences are never isomorphic; otherwise each class in a cospectral
+    pair gets one canonical form.
     """
 
     def __init__(self, g: Graph, h: Graph, gr: AbelianGroup):
         self.classes_g = SwitchingClasses(g, gr)
         self.classes_h = SwitchingClasses(h, gr)
-        self.reps_h = [self.classes_h.representative(c) for c in range(self.classes_h.count)]
-        self._classes_h_by_poly: dict[tuple[int, ...], list[int]] = {}
-        for ch, rep_h in enumerate(self.reps_h):
-            self._classes_h_by_poly.setdefault(tuple(lift_charpoly(h, rep_h)), []).append(ch)
+        self._keys_g = self.classes_g.walk_keys()
+        self._cells_h: dict[tuple[int, ...], list[int]] = {}
+        for ch, key in enumerate(self.classes_h.walk_keys()):
+            self._cells_h.setdefault(key, []).append(ch)
         self._on_fixture = (g, h) == (fixtures.BASE_G, fixtures.BASE_H)
         self._same_degrees = degree_sequence(g) == degree_sequence(h)
+        self._polys_h: dict[int, tuple[int, ...]] = {}
         self._forms_h: dict[int, tuple] = {}
 
-    def pairs(self, cg: int) -> tuple[tuple[int, ...], list[tuple[int, bool | None, bool]]]:
+    def pairs(self, cg: int) -> tuple[tuple[int, ...] | None, list[tuple[int, bool | None, bool]]]:
         """G class cg's charpoly, and (class_h, conditions, non-isomorphic)
-        for each H class of the same charpoly, in class_h order."""
+        for each H class of the same charpoly, in class_h order; (None, [])
+        for a G class whose walk key no H class shares."""
+        if (cell := self._cells_h.get(self._keys_g[cg])) is None:
+            return None, []
         rep_g = self.classes_g.representative(cg)
         poly = tuple(lift_charpoly(rep_g.base, rep_g))
         form_g, pairs = None, []
-        for ch in self._classes_h_by_poly.get(poly, ()):
-            rep_h, non_iso = self.reps_h[ch], True
+        for ch in cell:
+            rep_h, non_iso = self.classes_h.representative(ch), True
+            if ch not in self._polys_h:
+                self._polys_h[ch] = tuple(lift_charpoly(rep_h.base, rep_h))
+            if self._polys_h[ch] != poly:
+                continue
             if self._same_degrees:
                 if form_g is None:
                     form_g = canonical_form(build_lift(rep_g.base, rep_g)).edges

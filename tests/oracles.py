@@ -31,6 +31,33 @@ def mat_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
+def closed_walk_crossings(base, cotree, max_length):
+    """Every closed walk of length 1..max_length in base, from every start,
+    as (length, c): c[p] is the number of times the walk crosses edge
+    cotree[p] from its lower end to its higher, less the number of times it
+    crosses it the other way."""
+    adj = {v: [] for v in range(1, base.n + 1)}
+    for i, j in base.edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    found = []
+
+    def extend(walk):
+        if len(walk) > 1 and walk[-1] == walk[0]:
+            c = [0] * len(cotree)
+            for a, b in zip(walk, walk[1:]):
+                if (min(a, b), max(a, b)) in cotree:
+                    c[cotree.index((min(a, b), max(a, b)))] += 1 if a < b else -1
+            found.append((len(walk) - 1, tuple(c)))
+        if len(walk) <= max_length:
+            for v in adj[walk[-1]]:
+                extend(walk + [v])
+
+    for start in adj:
+        extend([start])
+    return found
+
+
 def _poly_mul(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):

@@ -38,7 +38,7 @@ def _run_script(script, args):
         ("condition_sweep.py", ["--group", "Q8"], 2),
         ("decomposition_trials.py", ["--max-n", "1"], 2),
         ("decomposition_trials.py", ["--trials", "-3"], 2),
-        ("condition_sweep.py", ["--group", "Z21"], 2),
+        ("condition_sweep.py", ["--group", "Z61"], 2),
         ("condition_sweep.py", ["--group", "Z1000000"], 2),
         ("decomposition_trials.py", ["--max-n", "8"], 2),
     ],
@@ -103,9 +103,9 @@ def test_class_sweep_matches_per_signature_brute_force_over_z2():
 
 
 def test_class_sweep_takes_one_charpoly_per_class(monkeypatch):
-    """Over Z3 the sweep reads the class join: one lift charpoly for each of
-    the 9 classes a side, and the sets of an all-pairs join of the
-    representatives' charpolys."""
+    """Over Z3 the sweep reads the class join: at most one lift charpoly per
+    class, 8 of the 18 classes sharing a walk key with the other side, and
+    the sets of an all-pairs join of the representatives' charpolys."""
     module = importlib.import_module("graphlifts.search")
     calls = []
 
@@ -116,7 +116,7 @@ def test_class_sweep_takes_one_charpoly_per_class(monkeypatch):
     monkeypatch.setattr(module, "lift_charpoly", counting)
     gr = AbelianGroup((3,))
     shape_g, shape_h, cospectral, passing = load_condition_sweep().sweep_class_pairs(gr)
-    assert len(calls) == 18 and calls.count(fixtures.BASE_G) == 9
+    assert len(calls) == 8 and calls.count(fixtures.BASE_G) == 3
     assert shape_g == shape_h == (9, 243)
     reps_g, reps_h = (
         [classes.representative(c) for c in range(classes.count)]

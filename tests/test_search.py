@@ -13,7 +13,7 @@ from graphlifts.algebra import (
     inverse,
     power_product,
 )
-from graphlifts.graphs import degree_sequence, from_edge_list
+from graphlifts.graphs import adjacency_matrix, degree_sequence, from_edge_list
 from graphlifts.isomorphism import are_isomorphic, canonical_form, relabeled
 from graphlifts.lifts import NonAbelianSignature, Signature, build_lift, make_signature
 from graphlifts.search import (
@@ -36,7 +36,7 @@ from graphlifts.search import (
 )
 from graphlifts.spectra import charpoly, cospectral, lift_charpoly
 
-from oracles import characters, cyclo_int
+from oracles import characters, closed_walk_crossings, cyclo_int, mat_mul
 
 Z2 = AbelianGroup((2,))
 Z3 = AbelianGroup((3,))
@@ -581,17 +581,120 @@ def test_search_computes_one_canonical_form_per_paired_class(monkeypatch):
 K4_MINUS_EDGE = from_edge_list(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
 
 
+def _cotree(classes):
+    """The cotree edges of a SwitchingClasses over a group of order 2 or
+    more, in key order: the edges where its last class's representative,
+    every key digit a non-identity element, is not the identity."""
+    rep = classes.representative(classes.count - 1)
+    return [e for e in rep.base.edges if rep.assignments[e] != rep.group.identity()]
+
+
+def _random_base(rng, n):
+    pool = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return from_edge_list(n, [e for e in pool if rng.random() < 0.5] or pool[:1])
+
+
+_WALK_BASES = [
+    fixtures.BASE_G,
+    fixtures.BASE_H,
+    K4_MINUS_EDGE,
+    *(_random_base(random.Random(f"walk-table/{seed}"), 2 + seed % 6) for seed in range(12)),
+]
+
+
+@pytest.mark.parametrize("orders", [(2,), (3,), (4,), (2, 2), (6,)], ids=["Z2", "Z3", "Z4", "Z2xZ2", "Z6"])
+@pytest.mark.parametrize("base", _WALK_BASES, ids=[f"{b.n}v{len(b.edges)}e" for b in _WALK_BASES])
+def test_short_walk_table_counts_every_closed_walk_by_its_crossings(base, orders):
+    # the crossing vectors of a brute-force enumeration, reduced mod the
+    # exponent, against the table's one dynamic programme
+    gr = AbelianGroup(orders)
+    classes = SwitchingClasses(base, gr)
+    expected = {}
+    for length, c in closed_walk_crossings(base, _cotree(classes), base.n):
+        counts = expected.setdefault(tuple(x % gr.exponent() for x in c), [0] * base.n)
+        counts[length - 1] += 1
+    assert classes.walk_table == {c: tuple(counts) for c, counts in expected.items()}
+
+
+def _power_sums(graph, top):
+    """tr(A^k) for k = 1..top, from powers of A by oracles.mat_mul:
+    tr(A^(a+b)) is the sum of A^a[i][j] * A^b[i][j], A being symmetric."""
+    a = adjacency_matrix(graph)
+    powers = [a]
+    while 2 * len(powers) < top:
+        powers.append(mat_mul(powers[-1], a))
+    sums = [sum(a[i][i] for i in range(graph.n))]
+    for k in range(2, top + 1):
+        left, right = powers[k // 2 - 1], powers[k - k // 2 - 1]
+        sums.append(sum(x * y for ra, rb in zip(left, right) for x, y in zip(ra, rb)))
+    return tuple(sums)
+
+
+_GROUPS = {
+    "Z2": (2,), "Z3": (3,), "Z4": (4,), "Z5": (5,), "Z6": (6,), "Z7": (7,), "Z8": (8,),
+    "Z2xZ2": (2, 2), "Z2xZ4": (2, 4), "Z3xZ3": (3, 3),
+}
+
+
+@pytest.mark.parametrize("orders", _GROUPS.values(), ids=_GROUPS)
+def test_walk_key_times_the_order_is_the_lift_power_sums(orders):
+    # every class of the bundled pair
+    gr = AbelianGroup(orders)
+    for base in (fixtures.BASE_G, fixtures.BASE_H):
+        classes = SwitchingClasses(base, gr)
+        for cid, key in enumerate(classes.walk_keys()):
+            lift = build_lift(base, classes.representative(cid))
+            assert tuple(gr.order() * w for w in key) == _power_sums(lift, base.n), cid
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_walk_key_is_a_switching_invariant(seed):
+    # the key of a signature's class gives the power sums of the lift of
+    # that signature switched by random potentials, not only of the
+    # class representative
+    rng = random.Random(f"walk-key-switching/{seed}")
+    base = _random_base(rng, rng.randint(2, 7))
+    gr = AbelianGroup(rng.choice([(2,), (3,), (4,), (5,), (2, 2), (6,)]))
+    elems = gr.elements()
+    sig = make_signature(base, gr, {e: rng.choice(elems) for e in base.edges})
+    switched = _switch(sig, {v: rng.choice(elems) for v in range(1, base.n + 1)})
+    classes = SwitchingClasses(base, gr)
+    key = classes.walk_keys()[classes.class_of(sig)]
+    assert tuple(gr.order() * w for w in key) == _power_sums(build_lift(base, switched), base.n)
+
+
+_JOIN_CASES = {
+    **{name: (fixtures.BASE_G, fixtures.BASE_H, AbelianGroup(orders)) for name, orders in _GROUPS.items()},
+    "K4-e-Z3": (K4_MINUS_EDGE, relabeled(K4_MINUS_EDGE, (3, 1, 4, 2)), Z3),
+}
+
+
+@pytest.mark.parametrize("g, h, gr", _JOIN_CASES.values(), ids=_JOIN_CASES)
+def test_class_join_equals_the_join_of_every_class_charpoly(g, h, gr):
+    # the all-classes join: every class's lift_charpoly, paired by equality
+    polys_g, polys_h = (
+        [tuple(lift_charpoly(c.base, c.representative(cid))) for cid in range(c.count)]
+        for c in (SwitchingClasses(g, gr), SwitchingClasses(h, gr))
+    )
+    join = ClassJoin(g, h, gr)
+    for cg, poly_g in enumerate(polys_g):
+        poly, pairs = join.pairs(cg)
+        mates = [ch for ch, poly_h in enumerate(polys_h) if poly_h == poly_g]
+        assert [ch for ch, _, _ in pairs] == mates
+        assert poly in (None, poly_g)
+        if mates:
+            assert poly == poly_g
+
+
 @pytest.mark.parametrize(
     "g, h, gr",
-    [
-        *((fixtures.BASE_G, fixtures.BASE_H, AbelianGroup(orders)) for orders in [(2,), (3,), (4,), (2, 2)]),
-        (K4_MINUS_EDGE, relabeled(K4_MINUS_EDGE, (3, 1, 4, 2)), Z3),
-    ],
+    [_JOIN_CASES[name] for name in ("Z2", "Z3", "Z4", "Z2xZ2", "K4-e-Z3")],
     ids=["Z2", "Z3", "Z4", "Z2xZ2", "K4-e-Z3"],
 )
 def test_class_join_pairs_each_g_class_with_the_h_classes_of_its_charpoly(g, h, gr):
     # checked against Berkowitz on each built lift, the conditions on the
-    # representatives and a full isomorphism test, not the walk
+    # representatives and a full isomorphism test, not the walk; a G class
+    # with no mate need not have its charpoly taken
     on_fixture = g == fixtures.BASE_G
     join = ClassJoin(g, h, gr)
     classes_g, classes_h = SwitchingClasses(g, gr), SwitchingClasses(h, gr)
@@ -600,18 +703,17 @@ def test_class_join_pairs_each_g_class_with_the_h_classes_of_its_charpoly(g, h, 
     for cg in range(classes_g.count):
         rep_g = classes_g.representative(cg)
         lift_g = build_lift(g, rep_g)
+        poly_g = tuple(charpoly(lift_g))
         poly, pairs = join.pairs(cg)
-        assert poly == tuple(charpoly(lift_g))
-        assert [ch for ch, _, _ in pairs] == [ch for ch, p in enumerate(polys_h) if p == poly]
+        assert [ch for ch, _, _ in pairs] == [ch for ch, p in enumerate(polys_h) if p == poly_g]
+        if pairs:
+            assert poly == poly_g
         for ch, cond, non_iso in pairs:
             assert cond == (conditions_hold(rep_g, reps_h[ch]) if on_fixture else None)
             assert non_iso == (not are_isomorphic(lift_g, build_lift(h, reps_h[ch]))[0])
 
 
-@pytest.mark.parametrize("gr, first, total", [(Z2, 5, 8), (Z3, 10, 18)], ids=["Z2", "Z3"])
-def test_rank_blocks_joins_each_g_class_on_its_first_rank(gr, first, total, monkeypatch):
-    # every H class's charpoly comes before the first block, a G class's
-    # only when its first rank is reached, and no class's twice
+def _count_lift_charpolys(monkeypatch):
     module = importlib.import_module("graphlifts.search")
     calls = []
 
@@ -620,11 +722,30 @@ def test_rank_blocks_joins_each_g_class_on_its_first_rank(gr, first, total, monk
         return lift_charpoly(base, s)
 
     monkeypatch.setattr(module, "lift_charpoly", counting)
+    return calls
+
+
+@pytest.mark.parametrize("gr, total, on_g", [(Z2, 4, 2), (Z3, 8, 3)], ids=["Z2", "Z3"])
+def test_rank_blocks_joins_each_g_class_on_its_first_rank(gr, total, on_g, monkeypatch):
+    # a G class's charpoly is taken when its first rank is reached, an H
+    # class's when the first G class of its walk key needs it, and no
+    # class's twice; a class whose key the other side lacks gets none
+    calls = _count_lift_charpolys(monkeypatch)
     blocks = rank_blocks(fixtures.BASE_G, fixtures.BASE_H, gr)
     assert calls == []
     assert next(blocks)[0] == 0
-    assert calls == [fixtures.BASE_H] * (first - 1) + [fixtures.BASE_G]
+    assert calls == [fixtures.BASE_G, fixtures.BASE_H]
     for _ in blocks:
         pass
     assert len(calls) == total
-    assert calls.count(fixtures.BASE_G) == calls.count(fixtures.BASE_H) == total // 2
+    assert calls.count(fixtures.BASE_G) == on_g
+
+
+def test_class_join_takes_no_charpoly_for_a_g_class_without_a_mate(monkeypatch):
+    join = ClassJoin(fixtures.BASE_G, fixtures.BASE_H, Z3)
+    keys_h = set(join.classes_h.walk_keys())
+    lonely = [cg for cg, key in enumerate(join.classes_g.walk_keys()) if key not in keys_h]
+    assert lonely
+    calls = _count_lift_charpolys(monkeypatch)
+    assert [join.pairs(cg) for cg in lonely] == [(None, [])] * len(lonely)
+    assert calls == []
