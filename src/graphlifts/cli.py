@@ -170,8 +170,7 @@ def _cmd_search(args) -> int:
     else:
         if not (args.base_g and args.base_h):
             raise SystemExit2("search needs --base-g and --base-h, or --fixture-pair")
-        g = load_graph(args.base_g)
-        h = load_graph(args.base_h)
+        g, h = load_graph(args.base_g), load_graph(args.base_h)
     gr = parse_group(args.group)
     options = SearchOptions(filter_by_theorem=args.filter_by_theorem, budget=args.budget)
     blocks = rank_blocks(g, h, gr, options)
@@ -251,13 +250,7 @@ def run_bundled_checks() -> tuple[list[str], bool]:
     # (3) lifts rebuilt from the bundled signatures
     built_g = build_lift(g, fixtures.EXAMPLE_SIGNATURE_G)
     built_h = build_lift(h, fixtures.EXAMPLE_SIGNATURE_H)
-    ok3 = (
-        cospectral(built_g, built_h)
-        and built_g.n == 18
-        and built_h.n == 18
-        and len(built_g.edges) == 21
-        and len(built_h.edges) == 21
-    )
+    ok3 = cospectral(built_g, built_h) and all(b.n == 18 and len(b.edges) == 21 for b in (built_g, built_h))
     checks.append(("(3)", ok3, "constructed lifts cospectral: 18 vertices, 21 edges each"))
 
     # (4) constructed lifts vs the transcribed matrices (the source material

@@ -152,13 +152,18 @@ def emit_signature(s: Signature) -> str:
     return "\n".join(lines) + "\n"
 
 
-def build_lift(base: Graph, s: Signature) -> Graph:
-    """Construct the lifted graph selected by signature s: lift vertex
-    (i, a), at 0-based fiber position a, gets index (i - 1) * d + a + 1."""
+def check_cover(base: Graph, s: Signature) -> None:
+    """Refuse a signature that does not assign exactly the edges of base."""
     if s.base != base:
         raise InvalidSignature("signature was built for a different base graph")
     if set(s.assignments) != set(base.edges):
         raise InvalidSignature("signature does not cover exactly the base edge set")
+
+
+def build_lift(base: Graph, s: Signature) -> Graph:
+    """Construct the lifted graph selected by signature s: lift vertex
+    (i, a), at 0-based fiber position a, gets index (i - 1) * d + a + 1."""
+    check_cover(base, s)
     d = s.group.fiber_size()
     pairs = []
     for (i, j), g in s.items():

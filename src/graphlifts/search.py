@@ -16,9 +16,9 @@ class rather than once per signature.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import cache, cached_property, partial
+from itertools import accumulate, product
 from typing import Iterator
 
 from . import fixtures
@@ -128,32 +128,9 @@ def corollary_generate(
     ident = gr.identity()
     u, v, w, x, y, r, v1, x1 = (ident if p is None else p for p in (u, v, w, x, y, r, v1, x1))
     z = compose(gr, compose(gr, v, y), inverse(gr, w))
-    sg = make_signature(
-        fixtures.BASE_G,
-        gr,
-        {
-            (1, 2): u,
-            (2, 3): v,
-            (2, 4): w,
-            (3, 4): x,
-            (3, 5): y,
-            (4, 5): z,
-            (5, 6): r,
-        },
-    )
-    sh = make_signature(
-        fixtures.BASE_H,
-        gr,
-        {
-            (1, 2): x,
-            (1, 3): v1,
-            (2, 3): v,
-            (3, 4): x1,
-            (3, 5): x,
-            (3, 6): w,
-            (5, 6): v,
-        },
-    )
+    # voltages in each base's canonical edge order: G's 12 23 24 34 35 45 56, H's 12 13 23 34 35 36 56
+    sg = make_signature(fixtures.BASE_G, gr, dict(zip(fixtures.BASE_G.edges, (u, v, w, x, y, z, r))))
+    sh = make_signature(fixtures.BASE_H, gr, dict(zip(fixtures.BASE_H.edges, (x, v1, v, x1, x, w, v))))
     return sg, sh
 
 
@@ -194,6 +171,15 @@ def _digits(rank: int, k: int, width: int) -> list[int]:
     return digits
 
 
+def _expand(mul: list[list[int]], parts) -> list[int]:
+    """The product of one element index from each part, for every choice, the
+    first part most significant, under the multiplication table mul."""
+    products = [0]
+    for part in parts:
+        products = [mul[x][p] for x in products for p in part]
+    return products
+
+
 def signature_from_rank(base: Graph, gr: GroupSpec, rank: int) -> Signature:
     """Signature with lexicographic index `rank`: the first canonical edge is
     the most significant digit, elements in enumeration order."""
@@ -231,18 +217,16 @@ class SwitchingClasses:
         # (edge position, parent, child, parent < child), 0-based vertices
         self._tree: list[tuple[int, int, int, bool]] = []
         for root in range(base.n):
-            if seen[root]:
-                continue
-            seen[root] = True
-            queue = deque([root])
-            while queue:
-                u = queue.popleft()
-                for v in adj[u]:
-                    if not seen[v]:
-                        seen[v] = True
-                        queue.append(v)
-                        edge = (u + 1, v + 1) if u < v else (v + 1, u + 1)
-                        self._tree.append((position[edge], u, v, u < v))
+            if not seen[root]:
+                seen[root] = True
+                queue = [root]
+                for u in queue:
+                    for v in adj[u]:
+                        if not seen[v]:
+                            seen[v] = True
+                            queue.append(v)
+                            edge = (u + 1, v + 1) if u < v else (v + 1, u + 1)
+                            self._tree.append((position[edge], u, v, u < v))
         in_tree = {t[0] for t in self._tree}
         self._cotree = [
             (e, i - 1, j - 1) for e, (i, j) in enumerate(base.edges) if e not in in_tree
@@ -293,9 +277,7 @@ class SwitchingClasses:
         width = max(map(sum, zip(*self.walk_table.values())), default=0).bit_length() + 1
         packed = [0] * self.count
         for c, counts in self.walk_table.items():
-            values = [0]
-            for e in c:
-                values = [mul[v][power[e]] for v in values for power in powers]
+            values = _expand(mul, ([power[e] for power in powers] for e in c))
             bits = sum(m << (i * width) for i, m in enumerate(counts))
             packed = [key if v else key + bits for key, v in zip(packed, values)]
         return [tuple(key >> (i * width) & ((1 << width) - 1) for i in range(self.base.n)) for key in packed]
@@ -312,32 +294,54 @@ class SwitchingClasses:
             cid = cid * k + mul[mul[potential[i]][digits[e]]][neg[potential[j]]]
         return cid
 
-    def class_ids(self) -> list[int]:
-        """The class of every signature, indexed by its rank.
-
-        The class key is a homomorphism of the edge voltages, so each key
-        digit is the product of one part per edge: the key digit of that
-        edge's voltage alone. Each digit is expanded over all ranks one edge
-        at a time, the first edge most significant.
-        """
+    def class_ids(self) -> Iterator[int]:
+        """The class of every signature, in rank order. The class key is a
+        homomorphism of the edge voltages, so each key digit is the product of
+        one part per edge: the key digit of that edge's voltage alone. Each
+        digit is expanded one edge at a time, first edge most significant, over
+        the leading half of the edges and, once, over the trailing half; each
+        leading prefix then yields its ranks' ids, combined with the trailing."""
         k, m, beta = len(self.elements), len(self.base.edges), len(self._cotree)
-        mul = self._mul
-        parts = []  # parts[e][d]: the key digits of element d on edge e alone
-        for e in range(m):
-            row = []
-            for d in range(k):
-                digits = [0] * m
-                digits[e] = d
-                row.append(_digits(self._class_of_digits(digits), k, beta))
-            parts.append(row)
-        ids = [0] * k**m
-        for c in range(beta):
-            keys = [0]
-            for e in range(m):
-                part = [parts[e][d][c] for d in range(k)]
-                keys = [mul[x][p] for x in keys for p in part]
-            ids = [cid * k + key for cid, key in zip(ids, keys)]
-        return ids
+        half = m // 2
+        parts = [  # parts[e][d]: the key digits of element d on edge e alone
+            [_digits(self._class_of_digits([d if f == e else 0 for f in range(m)]), k, beta) for d in range(k)]
+            for e in range(m)
+        ]
+        heads, tails = (
+            [_expand(self._mul, ([digits[c] for digits in row] for row in parts[lo:hi])) for c in range(beta)]
+            for lo, hi in ((0, half), (half, m))
+        )
+        for prefix in range(k**half):
+            ids = [0] * k ** (m - half)
+            for head, tail in zip(heads, tails):
+                row = self._mul[head[prefix]]
+                ids = [cid * k + row[x] for cid, x in zip(ids, tail)]
+            yield from ids
+
+    @cached_property
+    def _rank_columns(self) -> tuple[list[int], list[tuple[int, list[int]]]]:
+        """The coboundaries s(i, j) = f(i) * f(j)^-1, one per potential f that
+        is the identity at every root: the ranks their forest edges give, and
+        each cotree edge's rank weight and column of digits."""
+        k, m, mul, neg = len(self.elements), len(self.base.edges), self._mul, self._neg
+        free = [v for _, _, v, _ in self._tree]
+        f = [(0,) * k ** len(free)] * self.base.n
+        for v, column in zip(free, zip(*product(range(k), repeat=len(free)))):
+            f[v] = column
+        columns = [[mul[a][neg[b]] for a, b in zip(f[i - 1], f[j - 1])] for i, j in self.base.edges]
+        tree_ranks = [0] * k ** len(free)
+        for e, _, _, _ in self._tree:
+            tree_ranks = [r + k ** (m - 1 - e) * d for r, d in zip(tree_ranks, columns[e])]
+        return tree_ranks, [(k ** (m - 1 - e), columns[e]) for e, _, _ in self._cotree]
+
+    def ranks(self, cid: int) -> list[int]:
+        """The ranks of the signatures of class cid, sorted: its representative
+        times each coboundary, the forest edges' digits the coboundary's own."""
+        ranks, cotree = self._rank_columns
+        for x, (weight, column) in zip(_digits(cid, len(self.elements), len(self._cotree)), cotree):
+            row = [weight * y for y in self._mul[x]]
+            ranks = [r + row[d] for r, d in zip(ranks, column)]
+        return sorted(ranks)
 
     def class_of(self, s: Signature) -> int:
         """The number of the class of signature s."""
@@ -370,14 +374,11 @@ def iter_search(
 
 
 def _results(g: Graph, h: Graph, gr: AbelianGroup, blocks) -> Iterator[SearchResult]:
-    sigs_h: list[Signature | None] = [None] * signature_count(h, gr)
+    sig_h = cache(partial(signature_from_rank, h, gr))
     for rank_g, _, poly, rows in blocks:
         sig_g = signature_from_rank(g, gr, rank_g)
         for rank_h, cond, non_iso in rows:
-            sig_h = sigs_h[rank_h]
-            if sig_h is None:
-                sig_h = sigs_h[rank_h] = signature_from_rank(h, gr, rank_h)
-            yield SearchResult(rank_g, rank_h, sig_g, sig_h, poly, cond, non_iso)
+            yield SearchResult(rank_g, rank_h, sig_g, sig_h(rank_h), poly, cond, non_iso)
 
 
 def rank_blocks(
@@ -393,9 +394,7 @@ def rank_blocks(
     if not cospectral(g, h):
         raise WrongBaseGraph("search requires cospectral base graphs")
     if options.filter_by_theorem and (g, h) != (fixtures.BASE_G, fixtures.BASE_H):
-        raise WrongBaseGraph(
-            "filter_by_theorem is only available on the bundled base pair"
-        )
+        raise WrongBaseGraph("filter_by_theorem is only available on the bundled base pair")
     if options.budget < 1:
         raise BudgetExceeded(f"the budget must be at least 1 signature per side, got {options.budget}")
     total_g = signature_count(g, gr)
@@ -460,9 +459,7 @@ class ClassJoin:
 
 def _blocks(g: Graph, h: Graph, gr: AbelianGroup, filter_by_theorem: bool):
     join = ClassJoin(g, h, gr)
-    ranks_h: list[list[int]] = [[] for _ in range(join.classes_h.count)]
-    for rank_h, ch in enumerate(join.classes_h.class_ids()):
-        ranks_h[ch].append(rank_h)
+    ranks_h: dict[int, list[int]] = {}  # an H class's ranks, once a G class pairs with it
     blocks: dict[int, tuple] = {}  # G class -> (charpoly, rows)
     # One G class's rows have distinct rank_h, so sorting compares rank_h only;
     # the filter is on the bundled pair only, whose lifts get no canonical form.
@@ -470,12 +467,11 @@ def _blocks(g: Graph, h: Graph, gr: AbelianGroup, filter_by_theorem: bool):
         block = blocks.get(cg)
         if block is None:
             poly, pairs = join.pairs(cg)
-            rows = sorted(
-                (rank_h, cond, non_iso)
-                for ch, cond, non_iso in pairs
-                if cond or not filter_by_theorem
-                for rank_h in ranks_h[ch]
-            )
+            pairs = [pair for pair in pairs if pair[1] or not filter_by_theorem]
+            for ch, _, _ in pairs:
+                if ch not in ranks_h:
+                    ranks_h[ch] = join.classes_h.ranks(ch)
+            rows = sorted((rank_h, cond, non_iso) for ch, cond, non_iso in pairs for rank_h in ranks_h[ch])
             block = blocks[cg] = poly, rows
         if block[1]:
             yield rank_g, cg, *block

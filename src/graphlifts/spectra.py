@@ -18,11 +18,12 @@ from .algebra import (
     berkowitz_charpoly,
     compose,
     cyclotomic_value,
+    fiber_action,
     inverse,
     poly_mul,
 )
-from .graphs import Graph, adjacency_matrix, degree_sequence, neighbor_lists
-from .lifts import NonAbelianSignature, Signature, build_lift, constant_signature
+from .graphs import Graph, adjacency_matrix, degree_sequence
+from .lifts import NonAbelianSignature, Signature, check_cover, constant_signature
 
 
 class PreconditionFailed(ValueError):
@@ -45,7 +46,8 @@ def lift_charpoly(base: Graph, s: Signature) -> list[int]:
     every fibre translation is an automorphism of L, and the translations
     act transitively on each fibre. So every vertex of fibre i closes as
     many walks of each length k as its first vertex s_i, and the power sum
-    p_k = tr(A^k) is |Gr| times the sum over i of (A^k)[s_i][s_i]. The n
+    p_k = tr(A^k) is |Gr| times the sum over i of (A^k)[s_i][s_i]. L's
+    neighbour lists come from fiber_action, one base edge at a time, and the n
     starts are walked together, N steps over the union of their components:
     each vertex v holds one integer whose field i, width = N*bit_length(D) + 1
     bits wide for the maximum degree D, is the number of walks of length k
@@ -66,11 +68,16 @@ def lift_charpoly(base: Graph, s: Signature) -> list[int]:
     """
     if not s.is_abelian():
         raise NonAbelianSignature("lift_charpoly requires an abelian group")
-    lift = build_lift(base, s)
-    d, size = s.group.order(), lift.n
-    if not lift.edges:
+    check_cover(base, s)
+    d, size = s.group.order(), base.n * s.group.order()
+    if not base.edges:
         return [0] * size + [1]
-    adj = neighbor_lists(lift)
+    adj: list[list[int]] = [[] for _ in range(size)]
+    for (i, j), g in s.assignments.items():
+        u, v = (i - 1) * d, (j - 1) * d
+        for a, b in enumerate(fiber_action(s.group, g)):
+            adj[u + a].append(v + b)
+            adj[v + b].append(u + a)
     starts = range(0, size, d)
     comp, seen = list(starts), set(starts)
     for u in comp:
@@ -144,8 +151,8 @@ class VerifyReport:
 def verify_decomposition(base: Graph, s: Signature) -> VerifyReport:
     """Check that the lift's charpoly equals the product over all characters
     of the charpolys of the character matrices. The lift side is
-    lift_charpoly on the lift as built, from closed walks; the character
-    side is Berkowitz mod M, as follows.
+    lift_charpoly, from closed walks; the character side is Berkowitz mod M,
+    as follows.
 
     The characters of Gr = Z_{k1} x ... x Z_{kr} are indexed by its
     elements: with K = lcm(k_i) the group exponent and zeta_K a primitive

@@ -411,6 +411,10 @@ PINNED_STDOUT = [
         ["search", "--base-g", "k4e.edges", "--base-h", "k4e-relabeled.edges", "--group", "Z3"],
         "105f3d8794c5a800ee1949328924532da2e743d2939e980528a05838045e464d",
     ),
+    (
+        ["search", "--base-g", "k4e.edges", "--base-h", "k4e-relabeled.edges", "--group", "Z2xZ2"],
+        "7e182bbf1c7092ab6c9b4907bcf15c461043551220dabd3b708fc2e8600108a8",
+    ),
 ]
 
 

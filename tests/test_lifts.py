@@ -22,6 +22,7 @@ from graphlifts.lifts import (
     DuplicateEdge,
     InvalidSignature,
     MissingEdge,
+    Signature,
     SignatureError,
     UnknownEdge,
     build_lift,
@@ -31,7 +32,7 @@ from graphlifts.lifts import (
     parse_signature,
 )
 from graphlifts.search import signature_from_rank
-from graphlifts.spectra import charpoly
+from graphlifts.spectra import charpoly, lift_charpoly
 from graphlifts.algebra import poly_mul
 
 from oracles import mat_mul
@@ -205,6 +206,16 @@ def test_build_lift_rejects_wrong_base():
     other = from_edge_list(3, [(1, 2), (1, 3)])
     with pytest.raises(InvalidSignature):
         build_lift(other, s)
+
+
+@pytest.mark.parametrize("lift", [build_lift, lift_charpoly])
+def test_lift_and_its_charpoly_refuse_a_signature_off_the_base(lift):
+    s = make_signature(P3, Z2, {(1, 2): (0,), (2, 3): (1,)})
+    with pytest.raises(InvalidSignature, match="different base graph"):
+        lift(from_edge_list(3, [(1, 2), (1, 3)]), s)
+    # built directly, past make_signature's checks: edge (2, 3) has no voltage
+    with pytest.raises(InvalidSignature, match="exactly the base edge set"):
+        lift(P3, Signature(P3, Z2, {(1, 2): (0,)}))
 
 
 def test_symmetric_voltage_lift_uses_natural_action():

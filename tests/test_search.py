@@ -410,7 +410,7 @@ def test_switching_classes_are_the_net_voltages_of_the_cycle():
     base = from_edge_list(6, [(1, 3), (2, 3), (2, 4), (3, 4), (5, 6)])
     classes = SwitchingClasses(base, Z3)
     assert classes.count == 3
-    ids = classes.class_ids()
+    ids = list(classes.class_ids())
     assert len(ids) == signature_count(base, Z3)
     voltages = {}
     for rank, cid in enumerate(ids):
@@ -427,6 +427,20 @@ def test_switching_classes_are_the_net_voltages_of_the_cycle():
         assert [classes.class_of(classes.representative(c)) for c in range(9)] == list(range(9))
 
 
+def _assert_classes_agree_with_class_of(base, gr):
+    """The streamed ids equal class_of on every rank, and each class's ranks
+    are the ranks class_of puts in it, so the classes partition the ranks."""
+    classes = SwitchingClasses(base, gr)
+    expected = [classes.class_of(signature_from_rank(base, gr, rank)) for rank in range(signature_count(base, gr))]
+    assert list(classes.class_ids()) == expected
+    members = [[] for _ in range(classes.count)]
+    for rank, cid in enumerate(expected):
+        members[cid].append(rank)
+    listed = [classes.ranks(cid) for cid in range(classes.count)]
+    assert listed == members
+    assert sorted(rank for ranks in listed for rank in ranks) == list(range(len(expected)))
+
+
 @pytest.mark.parametrize("orders", [(2,), (4,), (2, 2), (2, 4), (2, 2, 2)])
 @pytest.mark.parametrize("seed", range(4))
 def test_class_ids_agree_with_class_of_on_every_rank(orders, seed):
@@ -438,13 +452,25 @@ def test_class_ids_agree_with_class_of_on_every_rank(orders, seed):
     edges = [p for p in pairs if rng.random() < 0.5]
     while gr.order() ** len(edges) > 4096:
         edges.pop()
-    base = from_edge_list(n, edges)
-    classes = SwitchingClasses(base, gr)
-    ids = classes.class_ids()
-    assert len(ids) == signature_count(base, gr)
-    assert set(ids) <= set(range(classes.count))
-    for rank, cid in enumerate(ids):
-        assert classes.class_of(signature_from_rank(base, gr, rank)) == cid
+    _assert_classes_agree_with_class_of(from_edge_list(n, edges), gr)
+
+
+NAMED_BASES = {
+    "G": fixtures.BASE_G,
+    "H": fixtures.BASE_H,
+    "K4-e": from_edge_list(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]),
+    "edgeless": from_edge_list(3, []),
+    "no-vertex": from_edge_list(0, []),
+    "forest": from_edge_list(6, [(1, 2), (2, 3), (2, 4), (5, 6)]),
+    # a triangle, a separate edge and the isolated vertex 6: three roots
+    "isolated-vertex": from_edge_list(6, [(1, 3), (2, 3), (1, 2), (4, 5)]),
+}
+
+
+@pytest.mark.parametrize("name", NAMED_BASES)
+@pytest.mark.parametrize("orders", [(2,), (3,), (4,), (2, 2)], ids=["Z2", "Z3", "Z4", "Z2xZ2"])
+def test_class_ranks_and_streamed_ids_agree_with_class_of(name, orders):
+    _assert_classes_agree_with_class_of(NAMED_BASES[name], AbelianGroup(orders))
 
 
 def _oracle_search(g, h, gr, filter_by_theorem=False):
@@ -518,7 +544,7 @@ def test_search_equals_brute_force_oracle_with_equal_degree_sequences_z3():
 def _expand(g, h, gr, options):
     """The rows of rank_blocks as (rank_g, rank_h, charpoly, conditions,
     non-isomorphic), checking each block's G class on the way."""
-    class_ids = SwitchingClasses(g, gr).class_ids()
+    class_ids = list(SwitchingClasses(g, gr).class_ids())
     for rank_g, class_g, poly, rows in rank_blocks(g, h, gr, options):
         assert class_g == class_ids[rank_g]
         for rank_h, cond, non_iso in rows:
@@ -739,6 +765,34 @@ def test_rank_blocks_joins_each_g_class_on_its_first_rank(gr, total, on_g, monke
         pass
     assert len(calls) == total
     assert calls.count(fixtures.BASE_G) == on_g
+
+
+def test_rank_blocks_lists_only_the_ranks_its_first_block_needs(monkeypatch):
+    # before the first block over Z5 (78,125 ranks a side), only the H
+    # classes that G class 0 pairs with have their ranks listed, and the G
+    # ids, built one chunk per prefix of the leading half of the edges, are
+    # drawn no further than rank 0
+    listed, drawn = [], []
+    ranks, class_ids = SwitchingClasses.ranks, SwitchingClasses.class_ids
+
+    def counting_ranks(self, cid):
+        listed.append(cid)
+        return ranks(self, cid)
+
+    def counting_ids(self):
+        for cid in class_ids(self):
+            drawn.append(cid)
+            yield cid
+
+    monkeypatch.setattr(SwitchingClasses, "ranks", counting_ranks)
+    monkeypatch.setattr(SwitchingClasses, "class_ids", counting_ids)
+    z5 = AbelianGroup((5,))
+    rank_g, class_g, _, rows = next(rank_blocks(fixtures.BASE_G, fixtures.BASE_H, z5))
+    assert (rank_g, class_g, drawn) == (0, 0, [0])
+    mates = [ch for ch, _, _ in ClassJoin(fixtures.BASE_G, fixtures.BASE_H, z5).pairs(0)[1]]
+    assert mates and listed == mates
+    # each mate's ranks: one per potential that is the identity at vertex 1
+    assert len(rows) == len(mates) * 5 ** (fixtures.BASE_H.n - 1)
 
 
 def test_class_join_takes_no_charpoly_for_a_g_class_without_a_mate(monkeypatch):
