@@ -52,6 +52,9 @@ LIFT_CEILING = 84
 # charpoly's and cospectral's ceiling on a graph's vertex count, timed in the README
 CHARPOLY_CEILING = 100
 
+# lift's ceiling on the lift order n*fiber_size, in every --out format, timed in the README
+LIFT_OUTPUT_CEILING = 4096
+
 
 def matrix_problems(m) -> list[str]:
     """Violations of the transcription invariants: the adjacency-matrix
@@ -109,10 +112,18 @@ def emit_graph(g: Graph, fmt: str) -> str:
     raise ValueError(f"unknown output format {fmt!r}")
 
 
-def _cmd_lift(args) -> int:
+def _lift_inputs(command: str, args, ceiling: int) -> tuple[Graph, Signature]:
+    """The base and signature files of args, refused with exit 2 before any
+    lift is built when the lift order n*fiber_size is above ceiling."""
     base = load_graph(args.graph)
     sig = load_signature(args.signature, base)
-    lifted = build_lift(base, sig)
+    if (order := base.n * sig.group.fiber_size()) > ceiling:
+        raise SystemExit2(f"{command} supports lifts of at most {ceiling} vertices, got {order}")
+    return base, sig
+
+
+def _cmd_lift(args) -> int:
+    lifted = build_lift(*_lift_inputs("lift", args, LIFT_OUTPUT_CEILING))
     sys.stdout.write(emit_graph(lifted, args.out or args.format))
     return 0
 
@@ -149,11 +160,7 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_verify_mota(args) -> int:
-    base = load_graph(args.graph)
-    sig = load_signature(args.signature, base)
-    if (order := base.n * sig.group.fiber_size()) > LIFT_CEILING:
-        raise SystemExit2(f"verify-mota supports lifts of at most {LIFT_CEILING} vertices, got {order}")
-    report = verify_decomposition(base, sig)
+    report = verify_decomposition(*_lift_inputs("verify-mota", args, LIFT_CEILING))
     print(f"lift charpoly:      {poly_text(report.lift_poly)}")
     print(f"character product:  {poly_text(report.product_poly)}")
     print("HOLDS" if report.holds else "FAILS")

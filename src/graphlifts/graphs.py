@@ -110,6 +110,20 @@ def neighbor_lists(g: Graph) -> list[list[int]]:
     return adj
 
 
+def reached(adj: list[list[int]], starts) -> list[int]:
+    """The vertices reachable from `starts` over 0-based neighbour lists, in
+    breadth-first order: the starts first, then each vertex's unseen
+    neighbours in list order, so each follows the earliest reached of them."""
+    order = list(starts)
+    seen = set(order)
+    for u in order:
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                order.append(v)
+    return order
+
+
 def degree_sequence(g: Graph) -> list[int]:
     """Vertex degrees sorted in descending order. Sums to 2 * |edges|."""
     deg = [0] * g.n
@@ -122,12 +136,15 @@ def degree_sequence(g: Graph) -> list[int]:
 _G6_HEADER = ">>graph6<<"
 _G6_OUTSIDE = re.compile("[^?-~]")  # any character but 63..126
 _G6_BITS = str.maketrans({chr(63 + x): format(x, "06b") for x in range(64)})
+_G6_SEXTETS = bytes(range(63, 127)) + bytes(192)  # sextet x -> byte 63 + x
 
 
 def emit_graph6(g: Graph) -> str:
     """Canonical graph6 encoding of g: the size header, then the column-major
     upper triangle's bits, edge (i, j) at bit (j - 1)(j - 2)/2 + i - 1 as
-    parse_graph6 reads it, zero-padded to whole bytes of six bits."""
+    parse_graph6 reads it, zero-padded to whole bytes of six bits. The bits
+    are packed six to a byte, most significant first, and shifted into
+    63..126 at once."""
     n = g.n
     if n <= 62:
         head = chr(n + 63)
@@ -135,12 +152,11 @@ def emit_graph6(g: Graph) -> str:
         head = "~" + chr(((n >> 12) & 63) + 63) + chr(((n >> 6) & 63) + 63) + chr((n & 63) + 63)
     else:
         raise GraphError(f"graph6 encoding supports at most 258047 vertices, got {n}")
-    nbits = n * (n - 1) // 2
-    bits = ["0"] * (nbits + -nbits % 6)
+    body = bytearray((n * (n - 1) // 2 + 5) // 6)
     for i, j in g.edges:
-        bits[(j - 1) * (j - 2) // 2 + i - 1] = "1"
-    body = "".join(bits)
-    return head + "".join(chr(63 + int(body[k : k + 6], 2)) for k in range(0, len(body), 6))
+        k = (j - 1) * (j - 2) // 2 + i - 1
+        body[k // 6] |= 32 >> k % 6
+    return head + body.translate(_G6_SEXTETS).decode("ascii")
 
 
 def parse_graph6(text: str) -> Graph:

@@ -103,7 +103,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import chain
 
-from .graphs import Graph, degree_sequence, from_edge_list, neighbor_lists
+from .graphs import Graph, degree_sequence, from_edge_list, neighbor_lists, reached
 
 SIZE_CEILING = 192
 
@@ -239,28 +239,6 @@ def _prefix_bits(adj: list[list[int]], cells: Cells, placed: int = 0) -> tuple[b
     return bytes(bits), placed
 
 
-def _components(adj: list[list[int]]) -> list[list[int]]:
-    """Connected components as sorted 0-based vertex lists, ordered by least
-    vertex."""
-    seen = [False] * len(adj)
-    comps = []
-    for start in range(len(adj)):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for u in adj[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(u)
-        comps.append(sorted(comp))
-    return comps
-
-
 def canonical_form(g: Graph) -> CanonicalForm:
     if g.n > SIZE_CEILING:
         raise TooLarge(f"canonical form supports at most {SIZE_CEILING} vertices, got {g.n}")
@@ -275,13 +253,15 @@ def _canonical(
     is searched in target mode against the target of its vertex count, and
     None means g is not isomorphic to the graph the targets come from."""
     adj = neighbor_lists(g)
-    comps = _components(adj)
+    comps: list[list[int]] = []  # sorted, ordered by least vertex
+    local = [-1] * g.n  # vertex -> its position in its component
+    for start in range(g.n):
+        if local[start] < 0:
+            comps.append(sorted(reached(adj, [start])))
+            for k, v in enumerate(comps[-1]):
+                local[v] = k
     if targets is not None and any(len(comp) not in targets for comp in comps):
         return None
-    local = [0] * g.n  # vertex -> its position in its component
-    for comp in comps:
-        for k, v in enumerate(comp):
-            local[v] = k
     pieces = []
     for comp in comps:
         # positions keep vertex order, so each neighbour list stays sorted

@@ -152,21 +152,27 @@ def emit_signature(s: Signature) -> str:
     return "\n".join(lines) + "\n"
 
 
-def check_cover(base: Graph, s: Signature) -> None:
-    """Refuse a signature that does not assign exactly the edges of base."""
+def lift_neighbors(base: Graph, s: Signature) -> list[list[int]]:
+    """The 0-based neighbour lists of the lift selected by signature s: lift
+    vertex (i, a), at 0-based fiber position a, has index (i - 1) * d + a,
+    and is joined to (j, b) for each base edge (i, j) whose voltage takes a
+    to b. Refuses a signature that does not assign exactly the edges of base."""
     if s.base != base:
         raise InvalidSignature("signature was built for a different base graph")
     if set(s.assignments) != set(base.edges):
         raise InvalidSignature("signature does not cover exactly the base edge set")
+    d = s.group.fiber_size()
+    adj: list[list[int]] = [[] for _ in range(base.n * d)]
+    for (i, j), g in s.assignments.items():
+        u, v = (i - 1) * d, (j - 1) * d
+        for a, b in enumerate(fiber_action(s.group, g)):
+            adj[u + a].append(v + b)
+            adj[v + b].append(u + a)
+    return adj
 
 
 def build_lift(base: Graph, s: Signature) -> Graph:
-    """Construct the lifted graph selected by signature s: lift vertex
-    (i, a), at 0-based fiber position a, gets index (i - 1) * d + a + 1."""
-    check_cover(base, s)
-    d = s.group.fiber_size()
-    pairs = []
-    for (i, j), g in s.items():
-        for a, b in enumerate(fiber_action(s.group, g)):
-            pairs.append(((i - 1) * d + a + 1, (j - 1) * d + b + 1))
-    return from_edge_list(base.n * d, pairs)
+    """The lifted graph selected by signature s, with lift_neighbors' order
+    shifted to 1-based: lift vertex (i, a) is numbered (i - 1) * d + a + 1."""
+    adj = lift_neighbors(base, s)
+    return from_edge_list(len(adj), [(u + 1, v + 1) for u, row in enumerate(adj) for v in row if u < v])

@@ -23,7 +23,7 @@ from typing import Iterator
 
 from . import fixtures
 from .algebra import AbelianGroup, GroupSpec, compose, fiber_action, inverse, power_product
-from .graphs import Graph, degree_sequence, neighbor_lists
+from .graphs import Graph, degree_sequence, neighbor_lists, reached
 from .isomorphism import canonical_form
 from .lifts import NonAbelianSignature, Signature, build_lift, make_signature
 from .spectra import cospectral, lift_charpoly
@@ -213,20 +213,18 @@ class SwitchingClasses:
         self._neg = [row.index(0) for row in self._mul]
         position = {edge: e for e, edge in enumerate(base.edges)}
         adj = neighbor_lists(base)
-        seen = [False] * base.n
+        reach = [-1] * base.n  # vertex -> its place in its tree's BFS order
         # (edge position, parent, child, parent < child), 0-based vertices
         self._tree: list[tuple[int, int, int, bool]] = []
         for root in range(base.n):
-            if not seen[root]:
-                seen[root] = True
-                queue = [root]
-                for u in queue:
-                    for v in adj[u]:
-                        if not seen[v]:
-                            seen[v] = True
-                            queue.append(v)
-                            edge = (u + 1, v + 1) if u < v else (v + 1, u + 1)
-                            self._tree.append((position[edge], u, v, u < v))
+            if reach[root] < 0:
+                order = reached(adj, [root])
+                for k, v in enumerate(order):
+                    reach[v] = k
+                for v in order[1:]:  # each child's parent is its earliest reached neighbour
+                    u = min(adj[v], key=reach.__getitem__)
+                    edge = (u + 1, v + 1) if u < v else (v + 1, u + 1)
+                    self._tree.append((position[edge], u, v, u < v))
         in_tree = {t[0] for t in self._tree}
         self._cotree = [
             (e, i - 1, j - 1) for e, (i, j) in enumerate(base.edges) if e not in in_tree

@@ -18,12 +18,11 @@ from .algebra import (
     berkowitz_charpoly,
     compose,
     cyclotomic_value,
-    fiber_action,
     inverse,
     poly_mul,
 )
-from .graphs import Graph, adjacency_matrix, degree_sequence
-from .lifts import NonAbelianSignature, Signature, check_cover, constant_signature
+from .graphs import Graph, adjacency_matrix, degree_sequence, reached
+from .lifts import NonAbelianSignature, Signature, constant_signature, lift_neighbors
 
 
 class PreconditionFailed(ValueError):
@@ -40,15 +39,15 @@ def lift_charpoly(base: Graph, s: Signature) -> list[int]:
     lift L = build_lift(base, s) of an abelian signature s over Gr, with its
     N = n*|Gr| vertices numbered fibre by fibre.
 
-    build_lift joins (i, a) to (j, a*g) for each base edge (i, j) of voltage
-    g, so translating every fibre by h, (i, a) -> (i, a*h), takes that edge
-    to (i, a*h)-(j, a*g*h), which is again an edge of L as Gr is abelian:
+    lift_neighbors joins (i, a) to (j, a*g) for each base edge (i, j) of
+    voltage g, so translating every fibre by h, (i, a) -> (i, a*h), takes that
+    edge to (i, a*h)-(j, a*g*h), which is again an edge of L as Gr is abelian:
     every fibre translation is an automorphism of L, and the translations
     act transitively on each fibre. So every vertex of fibre i closes as
     many walks of each length k as its first vertex s_i, and the power sum
     p_k = tr(A^k) is |Gr| times the sum over i of (A^k)[s_i][s_i]. L's
-    neighbour lists come from fiber_action, one base edge at a time, and the n
-    starts are walked together, N steps over the union of their components:
+    neighbour lists are lift_neighbors', and the n starts are walked
+    together, N steps over the union of their components (graphs.reached):
     each vertex v holds one integer whose field i, width = N*bit_length(D) + 1
     bits wide for the maximum degree D, is the number of walks of length k
     from s_i to v. For 1 <= k <= N that count is at most D^k <= D^N <
@@ -68,23 +67,12 @@ def lift_charpoly(base: Graph, s: Signature) -> list[int]:
     """
     if not s.is_abelian():
         raise NonAbelianSignature("lift_charpoly requires an abelian group")
-    check_cover(base, s)
-    d, size = s.group.order(), base.n * s.group.order()
+    adj = lift_neighbors(base, s)
+    d, size = s.group.order(), len(adj)
     if not base.edges:
         return [0] * size + [1]
-    adj: list[list[int]] = [[] for _ in range(size)]
-    for (i, j), g in s.assignments.items():
-        u, v = (i - 1) * d, (j - 1) * d
-        for a, b in enumerate(fiber_action(s.group, g)):
-            adj[u + a].append(v + b)
-            adj[v + b].append(u + a)
     starts = range(0, size, d)
-    comp, seen = list(starts), set(starts)
-    for u in comp:
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                comp.append(v)
+    comp = reached(adj, starts)
     comp.sort(key=lambda v: len(adj[v]), reverse=True)
     local = {v: i for i, v in enumerate(comp)}
     max_degree = len(adj[comp[0]])

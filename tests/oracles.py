@@ -27,6 +27,21 @@ def brute_force_isomorphic(g, h) -> bool:
     )
 
 
+def graph6_reference(g) -> str:
+    """graph6 of a graph of at most 258,047 vertices the slow and obvious way:
+    the size header, then the upper triangle's bits in column-major order as
+    a string of '0' and '1', padded with '0' to a multiple of six and read
+    six at a time, each sextet x written as the character 63 + x."""
+    n = g.n
+    head = chr(n + 63) if n <= 62 else "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
+    nbits = n * (n - 1) // 2
+    bits = ["0"] * (nbits + -nbits % 6)
+    for i, j in g.edges:
+        bits[(j - 1) * (j - 2) // 2 + i - 1] = "1"
+    body = "".join(bits)
+    return head + "".join(chr(63 + int(body[k : k + 6], 2)) for k in range(0, len(body), 6))
+
+
 def mat_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 

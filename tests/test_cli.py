@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from graphlifts import cli, fixtures
+from graphlifts import cli, fixtures, lifts
 from graphlifts.cli import load_graph, main, matrix_problems, run_bundled_checks
 from graphlifts.graphs import (
     MalformedEdgeList,
@@ -278,6 +278,45 @@ def test_verify_mota_past_lift_ceiling_exits_2(tmp_path):
         if order is not None:
             assert run.stdout == ""
             assert run.stderr == f"error: verify-mota supports lifts of at most 84 vertices, got {order}\n"
+
+
+@pytest.mark.parametrize("fmt", ["g6", "edges", "matrix"])
+@pytest.mark.parametrize(
+    "graph, signature, order",
+    [
+        ("2 1\n1 2\n", "group Z1000000000\n1 2 : 1\n", 2 * 10**9),
+        ("1000000000 0\n", "group Z1\n", 10**9),
+        ("1 0\n", "group Z4097\n", 4097),  # one past the ceiling
+    ],
+    ids=["K2 over Z1000000000", "10^9 vertices over Z1", "K1 over Z4097"],
+)
+def test_lift_past_its_ceiling_exits_2_before_building_the_lift(
+    graph, signature, order, fmt, tmp_path, capsys, monkeypatch
+):
+    def refuse(*args):
+        raise AssertionError("a lift was built past the ceiling")
+
+    monkeypatch.setattr(cli, "build_lift", refuse)
+    monkeypatch.setattr(lifts, "lift_neighbors", refuse)
+    (tmp_path / "base.edges").write_text(graph)
+    (tmp_path / "s.sig").write_text(signature)
+    argv = ["lift", "--graph", str(tmp_path / "base.edges"), "--signature", str(tmp_path / "s.sig")]
+    assert main([*argv, "--out", fmt]) == 2
+    assert capsys.readouterr() == ("", f"error: lift supports lifts of at most 4096 vertices, got {order}\n")
+
+
+@pytest.mark.parametrize("fmt", ["g6", "edges", "matrix"])
+def test_lift_at_its_ceiling_runs_in_every_format(fmt, tmp_path, capsys):
+    # K2 over Z2048: 4,096 vertices, a perfect matching
+    (tmp_path / "k2.edges").write_text("2 1\n1 2\n")
+    (tmp_path / "s.sig").write_text("group Z2048\n1 2 : 1\n")
+    argv = ["lift", "--graph", str(tmp_path / "k2.edges"), "--signature", str(tmp_path / "s.sig"), "--out", fmt]
+    assert cli.LIFT_OUTPUT_CEILING == 4096
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    lift = from_edge_list(4096, [(a + 1, 2048 + (a + 1) % 2048 + 1) for a in range(2048)])
+    assert out == cli.emit_graph(lift, fmt)
 
 
 def _limit_address_space():

@@ -5,6 +5,8 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from graphlifts import fixtures
+from graphlifts.algebra import AbelianGroup
 from graphlifts.graphs import (
     Graph,
     GraphError,
@@ -22,7 +24,11 @@ from graphlifts.graphs import (
     neighbor_lists,
     parse_edge_list,
     parse_graph6,
+    reached,
 )
+from graphlifts.lifts import build_lift, make_signature
+
+from oracles import graph6_reference
 
 
 def random_graph_strategy(max_n=12):
@@ -88,6 +94,15 @@ def test_from_adjacency_matrix_raises_with_the_listed_problems():
         with pytest.raises(GraphError, match=re.escape("; ".join(problems))):
             from_adjacency_matrix(m)
     assert adjacency_matrix_problems(adjacency_matrix(from_edge_list(3, [(1, 2), (2, 3)]))) == []
+
+
+def test_reached_is_breadth_first_from_the_starts():
+    # 0-1, 0-2, 1-3, 2-3, 3-4, and the isolated vertex 5
+    adj = [[1, 2], [0, 3], [0, 3], [1, 2, 4], [3], []]
+    assert reached(adj, [0]) == [0, 1, 2, 3, 4]
+    assert reached(adj, [4, 5]) == [4, 5, 3, 1, 2, 0]
+    assert reached(adj, range(0, 6, 5)) == [0, 5, 1, 2, 3, 4]
+    assert reached(adj, []) == []
 
 
 def test_neighbor_lists_and_degrees():
@@ -160,6 +175,24 @@ def test_emit_graph6_agrees_with_networkx(n):
         other.add_edges_from(g.edges)
         expected = nx.to_graph6_bytes(other, nodes=range(1, n + 1), header=False).decode().rstrip("\n")
         assert emit_graph6(g) == expected
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 62, 63, 64, 258])
+def test_emit_graph6_matches_the_reference_encoder(n):
+    rng = random.Random(f"graph6 reference/{n}")
+    pool = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    for density in (0.0, 0.1, 0.5, 1.0):
+        g = from_edge_list(n, [e for e in pool if rng.random() < density])
+        assert emit_graph6(g) == graph6_reference(g)
+
+
+def test_emit_graph6_matches_the_reference_encoder_on_a_2000_vertex_lift():
+    rng = random.Random("graph6 lift")
+    gr = AbelianGroup((500,))
+    sig = make_signature(fixtures.SQUARE, gr, {e: (rng.randrange(500),) for e in fixtures.SQUARE.edges})
+    lift = build_lift(fixtures.SQUARE, sig)
+    assert lift.n == 2000
+    assert emit_graph6(lift) == graph6_reference(lift)
 
 
 def test_parse_graph6_error_offsets():

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import random
 from collections import Counter
@@ -471,6 +472,48 @@ NAMED_BASES = {
 @pytest.mark.parametrize("orders", [(2,), (3,), (4,), (2, 2)], ids=["Z2", "Z3", "Z4", "Z2xZ2"])
 def test_class_ranks_and_streamed_ids_agree_with_class_of(name, orders):
     _assert_classes_agree_with_class_of(NAMED_BASES[name], AbelianGroup(orders))
+
+
+# sha256 of repr((class ids in rank order, every representative's voltages
+# in edge order)) for each base of NAMED_BASES and the bundled square, taken
+# before the spanning forest was last rewritten. Class numbers reach
+# rank_blocks' class_g column and ClassJoin but no stdout, so these digests
+# are what holds the numbering.
+PINNED_CLASS_NUMBERING = {
+    ("G", (3,)): "e46ad48a784d6b3ca06075e65759b8e45d3fcfb5e3837366537aa9d6a1abd56d",
+    ("G", (2, 2)): "2f0b56dde6474db8048f701cd7513a0a937cf4d1de3ef1c27193835ffc621cba",
+    ("H", (3,)): "fa592be43eeb7234deea1afc81bc6b14154d9a14ef1dfafd96a8756f3fd5030f",
+    ("H", (2, 2)): "504b98ccc7c3eb5c77b813ac584581b8e5f78d1e39fd9210b1fe18df5f5c5a54",
+    ("K4-e", (3,)): "895d36b8209861a097ae2684627d03c32b1dd6e51124ed10c26801de54ca25b9",
+    ("K4-e", (2, 2)): "443b7baa6897dc731a4e9ae44b6470bc4ec429c2008cc70448530827e3d40b23",
+    ("edgeless", (3,)): "4e8c9b6de0b8b2ba591f26ccbcdf99c5d18f562088ad2150f752984ce5274aa9",
+    ("edgeless", (2, 2)): "4e8c9b6de0b8b2ba591f26ccbcdf99c5d18f562088ad2150f752984ce5274aa9",
+    ("no-vertex", (3,)): "4e8c9b6de0b8b2ba591f26ccbcdf99c5d18f562088ad2150f752984ce5274aa9",
+    ("no-vertex", (2, 2)): "4e8c9b6de0b8b2ba591f26ccbcdf99c5d18f562088ad2150f752984ce5274aa9",
+    ("forest", (3,)): "1b8d846b449369271d03e75a9b84abe98631724112970fccef3f5f4308813a87",
+    ("forest", (2, 2)): "ff80494c8cf57fe7d7df9cc0959ae959ae876b11b8c3bb129de19d92ee5c01d9",
+    ("isolated-vertex", (3,)): "a3d15e5d8c1c6163d4a23c71aa1fe61cd6f996da7b57d543a68c02b910210192",
+    ("isolated-vertex", (2, 2)): "48ce7e8ff95064e0a0f8c45712841154a6a4401bdb98cf73b8c1f6399b7ff31a",
+    ("square", (3,)): "ede7f88bf08d5c6531344bee3a6393553225792d92828d2eb11b02206d08ab83",
+    ("square", (2, 2)): "f119c9912dc9d41f7b1958d282dfdc5190ab612d2235a862ca1cf8c37ead96dd",
+}
+
+
+@pytest.mark.parametrize("name, orders", PINNED_CLASS_NUMBERING, ids=lambda v: str(v))
+def test_class_numbering_is_pinned(name, orders):
+    base = {**NAMED_BASES, "square": fixtures.SQUARE}[name]
+    classes = SwitchingClasses(base, AbelianGroup(orders))
+    ids = list(classes.class_ids())
+    reps = [[classes.representative(cid).assignments[e] for e in base.edges] for cid in range(classes.count)]
+    digest = hashlib.sha256(repr((ids, reps)).encode()).hexdigest()
+    assert digest == PINNED_CLASS_NUMBERING[name, orders]
+
+
+def test_rank_blocks_class_column_is_pinned():
+    column = [cg for _, cg, _, _ in rank_blocks(fixtures.BASE_G, fixtures.BASE_H, Z3)]
+    assert len(column) == 729
+    digest = hashlib.sha256(repr(column).encode()).hexdigest()
+    assert digest == "6284c1550095d2d5830d353f03fda2facc232572286e795517309480115551bb"
 
 
 def _oracle_search(g, h, gr, filter_by_theorem=False):
