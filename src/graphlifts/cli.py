@@ -18,12 +18,12 @@ from .algebra import AbelianGroup, AlgebraError, parse_group, poly_text
 from .graphs import (
     Graph,
     GraphError,
-    adjacency_matrix,
     adjacency_matrix_problems,
     data_lines,
     emit_edge_list,
     emit_graph6,
     from_adjacency_matrix,
+    neighbor_lists,
     parse_edge_list,
     parse_graph6,
 )
@@ -107,8 +107,14 @@ def emit_graph(g: Graph, fmt: str) -> str:
         return emit_graph6(g) + "\n"
     if fmt == "edges":
         return emit_edge_list(g)
-    if fmt == "matrix":
-        return "".join(" ".join(str(v) for v in row) + "\n" for row in adjacency_matrix(g))
+    if fmt == "matrix":  # each row from the neighbour list, with no N-square matrix
+        rows = []
+        for adj in neighbor_lists(g):
+            row = ["0"] * g.n
+            for v in adj:
+                row[v] = "1"
+            rows.append(" ".join(row) + "\n")
+        return "".join(rows)
     raise ValueError(f"unknown output format {fmt!r}")
 
 

@@ -22,7 +22,7 @@ from .algebra import (
     parse_group,
     require_member,
 )
-from .graphs import Graph, data_lines, from_edge_list
+from .graphs import Graph, data_lines
 
 
 class SignatureError(ValueError):
@@ -173,6 +173,7 @@ def lift_neighbors(base: Graph, s: Signature) -> list[list[int]]:
 
 def build_lift(base: Graph, s: Signature) -> Graph:
     """The lifted graph selected by signature s, with lift_neighbors' order
-    shifted to 1-based: lift vertex (i, a) is numbered (i - 1) * d + a + 1."""
+    shifted to 1-based: lift vertex (i, a) is numbered (i - 1) * d + a + 1.
+    Once lift_neighbors accepts s, its pairs are distinct and loop-free."""
     adj = lift_neighbors(base, s)
-    return from_edge_list(len(adj), [(u + 1, v + 1) for u, row in enumerate(adj) for v in row if u < v])
+    return Graph(len(adj), tuple((u + 1, v + 1) for u, row in enumerate(adj) for v in sorted(row) if u < v))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
-from itertools import accumulate, product
+from itertools import accumulate
 from typing import Iterator
 
 from . import fixtures
@@ -196,11 +196,14 @@ class SwitchingClasses:
     """The switching classes of the signatures on one base over an abelian
     group.
 
-    A BFS spanning forest is fixed, each tree rooted at its least vertex.
-    The vertex potentials accumulated along it switch every forest edge to
-    the identity; the normalised voltages left on the cotree edges form the
-    class key. Every one of the |Gr|^beta keys occurs, beta = m - n + c, and
-    a class is numbered by the rank of its key (first cotree edge most
+    A BFS spanning forest is fixed, each tree rooted at its least vertex and
+    each child's parent its earliest reached neighbour. Each cotree edge
+    (i, j), i < j, closes one fundamental cycle: from i to j, then back along
+    the forest. The class key is the net voltage around each, in cotree
+    order; it is also the cotree of the class representative, the signature
+    the forest's vertex potentials switch to the identity on every forest
+    edge. Every one of the |Gr|^beta keys occurs, beta = m - n + c, and a
+    class is numbered by the rank of its key (first cotree edge most
     significant, elements in enumeration order), 0 <= number < count.
     """
 
@@ -208,28 +211,35 @@ class SwitchingClasses:
         self.base = base
         self.group = gr
         self.elements = gr.elements()
+        k, m = len(self.elements), len(base.edges)
         # element indices, the identity 0: _mul[a][b] = a*b, a's fiber action
         self._mul = [fiber_action(gr, a) for a in self.elements]
         self._neg = [row.index(0) for row in self._mul]
         position = {edge: e for e, edge in enumerate(base.edges)}
         adj = neighbor_lists(base)
         reach = [-1] * base.n  # vertex -> its place in its tree's BFS order
-        # (edge position, parent, child, parent < child), 0-based vertices
-        self._tree: list[tuple[int, int, int, bool]] = []
+        path = [[0] * m for _ in range(base.n)]  # vertex -> each edge's power on the forest path to it
         for root in range(base.n):
             if reach[root] < 0:
                 order = reached(adj, [root])
-                for k, v in enumerate(order):
-                    reach[v] = k
+                for place, v in enumerate(order):
+                    reach[v] = place
                 for v in order[1:]:  # each child's parent is its earliest reached neighbour
                     u = min(adj[v], key=reach.__getitem__)
-                    edge = (u + 1, v + 1) if u < v else (v + 1, u + 1)
-                    self._tree.append((position[edge], u, v, u < v))
-        in_tree = {t[0] for t in self._tree}
+                    path[v] = path[u][:]
+                    path[v][position[(u + 1, v + 1) if u < v else (v + 1, u + 1)]] = 1 if u < v else -1
+        in_tree = {e for powers in path for e, power in enumerate(powers) if power}
         self._cotree = [
             (e, i - 1, j - 1) for e, (i, j) in enumerate(base.edges) if e not in in_tree
         ]
-        self.count = len(self.elements) ** len(self._cotree)
+        self.count = k ** len(self._cotree)
+        # _parts[p][e][d]: key digit p of voltage d on edge e alone; cotree edge
+        # p's cycle meets edge e at power 0, 1 or -1, and maps[-1] is the inverse
+        maps = ([0] * k, list(range(k)), self._neg)
+        self._parts = [
+            [maps[a - b + (f == e)] for f, (a, b) in enumerate(zip(path[i], path[j]))]
+            for e, i, j in self._cotree
+        ]
         self.walk_table = self._closed_walks(adj)
 
     def _closed_walks(self, adj) -> dict[tuple[int, ...], tuple[int, ...]]:
@@ -268,7 +278,7 @@ class SwitchingClasses:
         each length whose net voltage x^c is the identity. A lift walk from
         (i, a) over a closed base walk of net voltage g ends at (i, a*g), so
         |Gr| * W_k is tr(A^k) of the class's lift. Each c's x^c is expanded
-        over all keys a cotree edge at a time, as in class_ids, and its counts,
+        over all keys a cotree edge at a time, by _expand, and its counts,
         packed into one integer, are added to the keys it takes to the identity."""
         mul, k = self._mul, self.group.exponent()
         powers = [list(accumulate([row] * (k - 1), lambda a, r: r[a], initial=0)) for row in mul]
@@ -280,70 +290,51 @@ class SwitchingClasses:
             packed = [key if v else key + bits for key, v in zip(packed, values)]
         return [tuple(key >> (i * width) & ((1 << width) - 1) for i in range(self.base.n)) for key in packed]
 
-    def _class_of_digits(self, digits: list[int]) -> int:
-        mul, neg = self._mul, self._neg
-        potential = [0] * self.base.n
-        for e, u, v, forward in self._tree:
-            d = digits[e]
-            potential[v] = mul[potential[u]][d if forward else neg[d]]
-        k = len(self.elements)
-        cid = 0
-        for e, i, j in self._cotree:
-            cid = cid * k + mul[mul[potential[i]][digits[e]]][neg[potential[j]]]
-        return cid
+    @cached_property
+    def _half_tables(self) -> tuple[list[list[int]], list[list[int]], dict[tuple[int, ...], list[int]]]:
+        """Rank r = prefix * |Gr|^(m - m//2) + suffix splits the voltages into
+        the leading m // 2 edges' and the trailing edges'. Key digit p of r is
+        heads[p][prefix] * tails[p][suffix], each digit's parts expanded once
+        over its half; suffixes maps the trailing key digits to their suffixes."""
+        half = len(self.base.edges) // 2
+        heads = [_expand(self._mul, part[:half]) for part in self._parts]
+        tails = [_expand(self._mul, part[half:]) for part in self._parts]
+        suffixes: dict[tuple[int, ...], list[int]] = {}
+        for suffix in range(len(self.elements) ** (len(self.base.edges) - half)):
+            suffixes.setdefault(tuple(tail[suffix] for tail in tails), []).append(suffix)
+        return heads, tails, suffixes
 
     def class_ids(self) -> Iterator[int]:
-        """The class of every signature, in rank order. The class key is a
-        homomorphism of the edge voltages, so each key digit is the product of
-        one part per edge: the key digit of that edge's voltage alone. Each
-        digit is expanded one edge at a time, first edge most significant, over
-        the leading half of the edges and, once, over the trailing half; each
-        leading prefix then yields its ranks' ids, combined with the trailing."""
-        k, m, beta = len(self.elements), len(self.base.edges), len(self._cotree)
-        half = m // 2
-        parts = [  # parts[e][d]: the key digits of element d on edge e alone
-            [_digits(self._class_of_digits([d if f == e else 0 for f in range(m)]), k, beta) for d in range(k)]
-            for e in range(m)
-        ]
-        heads, tails = (
-            [_expand(self._mul, ([digits[c] for digits in row] for row in parts[lo:hi])) for c in range(beta)]
-            for lo, hi in ((0, half), (half, m))
-        )
-        for prefix in range(k**half):
-            ids = [0] * k ** (m - half)
+        """The class of every signature, in rank order: each leading prefix
+        yields its suffixes' ids, its key digits combined with theirs."""
+        heads, tails, _ = self._half_tables
+        k, m = len(self.elements), len(self.base.edges)
+        for prefix in range(k ** (m // 2)):
+            ids = [0] * k ** (m - m // 2)
             for head, tail in zip(heads, tails):
                 row = self._mul[head[prefix]]
                 ids = [cid * k + row[x] for cid, x in zip(ids, tail)]
             yield from ids
 
-    @cached_property
-    def _rank_columns(self) -> tuple[list[int], list[tuple[int, list[int]]]]:
-        """The coboundaries s(i, j) = f(i) * f(j)^-1, one per potential f that
-        is the identity at every root: the ranks their forest edges give, and
-        each cotree edge's rank weight and column of digits."""
-        k, m, mul, neg = len(self.elements), len(self.base.edges), self._mul, self._neg
-        free = [v for _, _, v, _ in self._tree]
-        f = [(0,) * k ** len(free)] * self.base.n
-        for v, column in zip(free, zip(*product(range(k), repeat=len(free)))):
-            f[v] = column
-        columns = [[mul[a][neg[b]] for a, b in zip(f[i - 1], f[j - 1])] for i, j in self.base.edges]
-        tree_ranks = [0] * k ** len(free)
-        for e, _, _, _ in self._tree:
-            tree_ranks = [r + k ** (m - 1 - e) * d for r, d in zip(tree_ranks, columns[e])]
-        return tree_ranks, [(k ** (m - 1 - e), columns[e]) for e, _, _ in self._cotree]
-
     def ranks(self, cid: int) -> list[int]:
-        """The ranks of the signatures of class cid, sorted: its representative
-        times each coboundary, the forest edges' digits the coboundary's own."""
-        ranks, cotree = self._rank_columns
-        for x, (weight, column) in zip(_digits(cid, len(self.elements), len(self._cotree)), cotree):
-            row = [weight * y for y in self._mul[x]]
-            ranks = [r + row[d] for r, d in zip(ranks, column)]
-        return sorted(ranks)
+        """The ranks of the signatures of class cid, in order: for each leading
+        prefix, the suffixes whose key digits complete the prefix's to cid's."""
+        heads, _, suffixes = self._half_tables
+        k, m, mul, neg = len(self.elements), len(self.base.edges), self._mul, self._neg
+        digits, width, ranks = _digits(cid, k, len(self._cotree)), k ** (m - m // 2), []
+        for prefix in range(k ** (m // 2)):
+            rest = tuple(mul[x][neg[head[prefix]]] for x, head in zip(digits, heads))
+            ranks.extend(map((prefix * width).__add__, suffixes.get(rest, ())))
+        return ranks
 
     def class_of(self, s: Signature) -> int:
-        """The number of the class of signature s."""
-        return self._class_of_digits([self.group.index(s.assignments[e]) for e in self.base.edges])
+        """The number of the class of signature s: key digit p is the product
+        of _parts[p][e] at each edge e's voltage."""
+        digits = [self.group.index(s.assignments[e]) for e in self.base.edges]
+        cid = 0
+        for part in self._parts:
+            cid = cid * len(self.elements) + _expand(self._mul, ([row[d]] for row, d in zip(part, digits)))[0]
+        return cid
 
     def representative(self, cid: int) -> Signature:
         """The normalised signature of class cid."""

@@ -73,6 +73,54 @@ def closed_walk_crossings(base, cotree, max_length):
     return found
 
 
+def fundamental_cycle_voltages(base, s):
+    """The net voltage of abelian signature s around each cotree edge's
+    fundamental cycle, cotree edges in edge order. The spanning forest is
+    breadth-first, each tree rooted at its least vertex and neighbours taken
+    in increasing order, so each child's parent is its earliest reached
+    neighbour. The cycle of cotree edge (i, j), i < j, runs from i to j and
+    back to i along the forest; each voltage is a residue tuple, met against
+    its edge's orientation as its negative."""
+    orders = s.group.orders
+    adj = {v: [] for v in range(1, base.n + 1)}
+    for i, j in base.edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    parent = {}
+    for root in adj:
+        if root not in parent:
+            parent[root] = None
+            queue = [root]
+            for u in queue:
+                for v in sorted(adj[u]):
+                    if v not in parent:
+                        parent[v] = u
+                        queue.append(v)
+    tree = {(min(v, u), max(v, u)) for v, u in parent.items() if u is not None}
+
+    def to_root(v):
+        path = [v]
+        while parent[path[-1]] is not None:
+            path.append(parent[path[-1]])
+        return path
+
+    voltages = []
+    for i, j in base.edges:
+        if (i, j) in tree:
+            continue
+        up_i = to_root(i)
+        walk = [i, j]
+        while walk[-1] not in up_i:  # climb from j to the lowest common ancestor
+            walk.append(parent[walk[-1]])
+        walk += reversed(up_i[: up_i.index(walk[-1])])  # then down to i
+        net = [0] * len(orders)
+        for a, b in zip(walk, walk[1:]):
+            sign = 1 if a < b else -1
+            net = [(x + sign * y) % k for x, y, k in zip(net, s.assignments[min(a, b), max(a, b)], orders)]
+        voltages.append(tuple(net))
+    return voltages
+
+
 def _poly_mul(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):

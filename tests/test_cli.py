@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import os
+import random
 import re
 import resource
 import subprocess
@@ -317,6 +318,32 @@ def test_lift_at_its_ceiling_runs_in_every_format(fmt, tmp_path, capsys):
     assert err == ""
     lift = from_edge_list(4096, [(a + 1, 2048 + (a + 1) % 2048 + 1) for a in range(2048)])
     assert out == cli.emit_graph(lift, fmt)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_matrix_output_is_the_adjacency_matrix_row_by_row(seed):
+    # seeded graphs of 0-12 vertices against a rendering from the edge set
+    rng = random.Random(f"matrix-out/{seed}")
+    n = rng.randint(0, 12)
+    pairs = {(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < 0.4}
+    rows = [" ".join("1" if (min(i, j), max(i, j)) in pairs else "0" for j in range(1, n + 1)) for i in range(1, n + 1)]
+    assert cli.emit_graph(from_edge_list(n, pairs), "matrix") == "".join(row + "\n" for row in rows)
+
+
+def test_charpoly_of_k100_at_the_ceiling_is_exact_within_10_s(tmp_path, capsys):
+    # K100, the densest graph the ceiling admits, has charpoly (t - 99)(t + 1)^99,
+    # so the coefficient of t^k is C(99, k - 1) - 99 * C(99, k)
+    n = 100
+    path = tmp_path / "k100.edges"
+    path.write_text(emit_edge_list(from_edge_list(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])))
+    binomials = [1]  # C(99, 0..99), by Pascal's rule
+    for _ in range(n - 1):
+        binomials = [a + b for a, b in zip([0, *binomials], [*binomials, 0])]
+    coeffs = [(binomials[k - 1] if k else 0) - (n - 1) * (binomials[k] if k < n else 0) for k in range(n + 1)]
+    start = time.perf_counter()
+    assert main(["charpoly", str(path)]) == 0
+    assert time.perf_counter() - start < 10.0
+    assert capsys.readouterr() == ("[" + ", ".join(str(c) for c in reversed(coeffs)) + "]\n", "")
 
 
 def _limit_address_space():

@@ -153,6 +153,10 @@ def test_build_lift_counts():
             base, gr, {e: rng.choice(_elements(gr)) for e in base.edges}
         )
         lift = build_lift(base, sig)
+        # assigned in reverse edge order, the lift's pairs still come out
+        # sorted, distinct and loop-free: the Graph from_edge_list would build
+        reassigned = make_signature(base, gr, {e: sig.assignments[e] for e in reversed(base.edges)})
+        assert build_lift(base, reassigned) == lift == from_edge_list(lift.n, lift.edges)
         d = gr.fiber_size()
         assert lift.n == base.n * d
         assert len(lift.edges) == len(base.edges) * d

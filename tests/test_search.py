@@ -37,7 +37,7 @@ from graphlifts.search import (
 )
 from graphlifts.spectra import charpoly, cospectral, lift_charpoly
 
-from oracles import characters, closed_walk_crossings, cyclo_int, mat_mul
+from oracles import characters, closed_walk_crossings, cyclo_int, fundamental_cycle_voltages, mat_mul
 
 Z2 = AbelianGroup((2,))
 Z3 = AbelianGroup((3,))
@@ -496,6 +496,12 @@ PINNED_CLASS_NUMBERING = {
     ("isolated-vertex", (2, 2)): "48ce7e8ff95064e0a0f8c45712841154a6a4401bdb98cf73b8c1f6399b7ff31a",
     ("square", (3,)): "ede7f88bf08d5c6531344bee3a6393553225792d92828d2eb11b02206d08ab83",
     ("square", (2, 2)): "f119c9912dc9d41f7b1958d282dfdc5190ab612d2235a862ca1cf8c37ead96dd",
+    # taken before the class key was read off the fundamental cycles; H over
+    # Z2xZ4 has 2,097,152 ranks, past search's default budget
+    ("G", (5,)): "0c197cb0acd3cf825497acb1971102298724904726eb285e0dfbce80742beefd",
+    ("H", (2, 4)): "d70e5d3dca42c40d42b3296f945ef103ac6d2c79a911094d280cc095fdae1022",
+    ("G", (6,)): "788d9781626df89bc9dc6ee3852d44afc8df6d0520bbd4825272cfb50a14d55b",
+    ("H", (6,)): "4660cd83a2fd44df3a1e858fb8f089b56e99b65d0c8920c692dade05d1528108",
 }
 
 
@@ -507,6 +513,29 @@ def test_class_numbering_is_pinned(name, orders):
     reps = [[classes.representative(cid).assignments[e] for e in base.edges] for cid in range(classes.count)]
     digest = hashlib.sha256(repr((ids, reps)).encode()).hexdigest()
     assert digest == PINNED_CLASS_NUMBERING[name, orders]
+
+
+# sha256 of repr([ranks(c) for every class c]) of the bundled bases, taken
+# before the class key was read off the fundamental cycles: the lists search
+# reads for each H mate, beyond the groups where
+# _assert_classes_agree_with_class_of lists every rank's class.
+PINNED_CLASS_RANKS = {
+    ("G", (3,)): "164621028d4eddb202932e46afc0aee3cdfc40808bc4976784d74d855286d612",
+    ("H", (3,)): "6a0098c9fd35812342d5ffb47b1896c988457b6db4274bf83e15e33e68c73acc",
+    ("G", (5,)): "678090ea830561520f432ba736987671a4f14a87cd0ba168025d1ba836a64399",
+    ("H", (5,)): "40ecc5b30fdf0f821108ff39f7762f73eb8612b28adc7a023c68f3b54ba1d2d6",
+    ("G", (2, 4)): "c555d9573d2e13d5c8313a3241528a27741224b5faa37a3d4284b685c16cfc0b",
+    ("H", (2, 4)): "10b6804b4f101378bc81ecd7e6b250ba8e4f78f2519389734781b87891ea3225",
+    ("G", (6,)): "bcb26b6495fb8a1c46be930a36249738d21d5e1e49b94d109f4d7497aac59c04",
+    ("H", (6,)): "fc1b745af3608d34fdfb862f6e4b9dffab6600150206f394ce8dbb8b37e09204",
+}
+
+
+@pytest.mark.parametrize("name, orders", PINNED_CLASS_RANKS, ids=lambda v: str(v))
+def test_class_ranks_are_pinned(name, orders):
+    classes = SwitchingClasses(NAMED_BASES[name], AbelianGroup(orders))
+    listed = [classes.ranks(cid) for cid in range(classes.count)]
+    assert hashlib.sha256(repr(listed).encode()).hexdigest() == PINNED_CLASS_RANKS[name, orders]
 
 
 def test_rank_blocks_class_column_is_pinned():
@@ -661,6 +690,32 @@ def _cotree(classes):
 def _random_base(rng, n):
     pool = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     return from_edge_list(n, [e for e in pool if rng.random() < 0.5] or pool[:1])
+
+
+_CYCLE_BASES = {
+    **NAMED_BASES,
+    **{f"random-{seed}": _random_base(random.Random(f"fundamental-cycles/{seed}"), 2 + seed % 6) for seed in range(12)},
+}
+
+
+@pytest.mark.parametrize("orders", [(4,), (2, 2), (6,)], ids=["Z4", "Z2xZ2", "Z6"])
+@pytest.mark.parametrize("name", _CYCLE_BASES)
+def test_class_key_is_the_net_voltage_around_each_fundamental_cycle(name, orders):
+    # key digit p of class_of(s) against an independent forest's cycles
+    base, gr = _CYCLE_BASES[name], AbelianGroup(orders)
+    classes = SwitchingClasses(base, gr)
+    elements = gr.elements()
+    rng = random.Random(f"fundamental-cycles/{name}/{orders}")
+    for _ in range(20):
+        s = make_signature(base, gr, {e: rng.choice(elements) for e in base.edges})
+        voltages = fundamental_cycle_voltages(base, s)
+        assert classes.count == len(elements) ** len(voltages)
+        cid, digits = classes.class_of(s), []
+        for _ in voltages:
+            cid, d = divmod(cid, len(elements))
+            digits.append(d)
+        assert cid == 0
+        assert [elements[d] for d in reversed(digits)] == voltages
 
 
 _WALK_BASES = [
